@@ -36,7 +36,6 @@ __all__ = [
     "q_lambda_contour",
     "disk_q_lambda",
     "disk_boundary_condition",
-    "disk_q_symbol",
     "q_chiral",
     "chiral_obstruction_witness",
     "chiral_boundary_condition",
@@ -199,15 +198,6 @@ def disk_q_lambda(theta: float, xi: float, lam: complex) -> np.ndarray:
     ep = np.exp(1j * theta)
     return np.array([[xi + s, -1j * lam * em],
                      [-1j * lam * ep, -xi + s]], dtype=complex) / (2.0 * s)
-
-
-def disk_q_symbol(w: complex | None = None):
-    """q(lambda) of the disk as a plain callable (x, xi, lam) -> matrix."""
-
-    def q(theta, xi, lam=0.0):
-        return disk_q_lambda(theta, xi, lam)
-
-    return q
 
 
 def q_chiral(xi) -> np.ndarray:

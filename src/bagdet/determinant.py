@@ -22,6 +22,7 @@ between the two rays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,8 +31,9 @@ import numpy as np
 from .clifford import polar_gammas
 from .errors import AccuracyError, BranchError, ContourError, DomainError
 from .greens import DiskProblem, PlanePoint, disk_green
-from .quadrature import (QuadratureResult, integrate_adaptive,
-                         integrate_gauss_legendre, j2_over_u_integral)
+from .quadrature import (QuadratureResult, _gauss_legendre_rule,
+                         integrate_adaptive, integrate_gauss_legendre,
+                         j2_over_u_integral)
 from .seeley import GaugeField, d_tilde_minus1
 
 __all__ = [
@@ -122,12 +124,19 @@ def log_branch(lam):
 
 
 def _gl_panel(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
 
 
-def _path_nodes(spec: ContourSpec, refine: int = 1):
-    """All contour nodes and complex weights (d lambda already folded in)."""
+@functools.lru_cache(maxsize=8)
+def _spectral_path(spec: ContourSpec, refine: int):
+    """Contour nodes, complex weights (d lambda already folded in) and
+    ``log_branch(nodes)``.
+
+    The path depends on nothing but ``(spec, refine)``, so it is built once
+    per process and shared; the arrays are read-only.  One entry holds
+    about 70 kB per unit of ``refine`` for the default spec.
+    """
     n_seg = spec.n_seg * refine
     n_arc = spec.n_arc * refine
     breaks = [spec.mu0]
@@ -153,24 +162,28 @@ def _path_nodes(spec: ContourSpec, refine: int = 1):
     w_arc = -1j * rr * np.exp(1j * th) * wth      # minus: traversed downward
     nodes = np.concatenate([lam_right, lam_arc, lam_left])
     weights = np.concatenate([w_right, w_arc, w_left])
-    return nodes, weights
+    logb = log_branch(nodes)
+    for arr in (nodes, weights, logb):
+        arr.flags.writeable = False
+    return nodes, weights, logb
 
 
 def gamma_log_contour(g, spec: ContourSpec | None = None) -> QuadratureResult:
     """Contour integral ``oint log(lambda) g(lambda) d lambda`` over the
     spectral path, with the branch described in :func:`log_branch`.
 
-    ``g`` must accept complex ndarrays.  The error estimate combines a
-    node-doubling comparison with a truncation bound for the ray tails
-    (assumes |g| decays at least like 1/|lambda|^2).
+    ``g`` must accept complex ndarrays; it receives the read-only nodes
+    of the cached path.  The error estimate combines a node-doubling
+    comparison with a truncation bound for the ray tails (assumes |g|
+    decays at least like 1/|lambda|^2).
     """
     if spec is None:
         spec = ContourSpec()
     values = []
     counts = []
     for refine in (1, 2):
-        nodes, weights = _path_nodes(spec, refine=refine)
-        f = log_branch(nodes) * np.asarray(g(nodes), dtype=complex)
+        nodes, weights, logb = _spectral_path(spec, refine)
+        f = logb * np.asarray(g(nodes), dtype=complex)
         if np.any(~np.isfinite(f)):
             raise ContourError("integrand not finite on the contour")
         values.append(complex(np.sum(weights * f)))

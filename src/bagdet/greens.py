@@ -17,6 +17,8 @@ with a the coupling alpha.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +77,21 @@ class DiskProblem:
     gauge: GaugeField
 
     def __post_init__(self):
+        if not (math.isfinite(self.R) and cmath.isfinite(self.w)
+                and math.isfinite(self.alpha)):
+            raise DomainError(
+                f"R, w and alpha must be finite (got R = {self.R}, "
+                f"w = {self.w}, alpha = {self.alpha})")
         if self.R <= 0:
             raise DomainError("radius must be positive")
         if self.w == 0:
             raise DomainError("w = 0 does not define an elliptic problem")
+        w = complex(self.w)
+        w2 = w * w
+        if w2 == 0 or not cmath.isfinite(w2):
+            raise DomainError(
+                f"w = {self.w} is out of range: w^2 = {w2} under- or "
+                "overflows")
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError("alpha must lie in [0, 1]")
         if abs(self.gauge.R - self.R) > 1e-12 * self.R:

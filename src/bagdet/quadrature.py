@@ -8,6 +8,7 @@ bit-identical outputs (fixed node sets, no randomized algorithms).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -158,9 +159,22 @@ def digamma(x: float) -> float:
     return _spec.digamma(x)
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre_rule(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Built once per order and process; the arrays are shared by every
+    caller and therefore read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def integrate_gauss_legendre(f, a: float, b: float, n: int = 16) -> complex:
     """Fixed-order Gauss-Legendre rule on [a, b] (deterministic node set)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _gauss_legendre_rule(n)
     x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
     vals = np.array([f(xi) for xi in x], dtype=complex)
     return complex(0.5 * (b - a) * np.sum(weights * vals))
@@ -181,6 +195,13 @@ def j2_over_u_integral(split: float, tol: float = 1e-11,
         raise ValueError("split must be positive")
     if split >= u_match:
         raise ValueError("split must be below the tail matching point")
+    return _j2_over_u(split, tol, u_match)
+
+
+@functools.lru_cache(maxsize=16)
+def _j2_over_u(split: float, tol: float, u_match: float) -> QuadratureResult:
+    """Body of :func:`j2_over_u_integral`, cached per process: the value
+    depends on nothing but the three arguments."""
     n_zeros = int(u_match / np.pi) + 4
     zeros = _spec.jn_zeros(2, n_zeros)
     pts = [z for z in zeros if split < z < u_match]

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from bagdet.cli import DEFAULT_TOLERANCES, RunConfig, build_config, main
 
@@ -77,6 +78,32 @@ def test_ellipticity_mode(tmp_path):
 
 def test_domain_error_exit_code():
     assert main(["--mode", "determinant", "--w", "0"]) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--radius", "nan"],
+    ["--radius", "inf"],
+    ["--w", "nan"],
+    ["--w", "1e-300"],                    # w^2 underflows to 0
+    ["--w", "1e200"],                     # w^2 overflows
+    ["--alpha", "nan"],
+    ["--mode", "sweep", "--sweep", "w=1,nan"],
+])
+def test_non_finite_or_overflowing_input_exit_code(flags):
+    assert main(["--mode", "determinant"] + flags) == 3
+
+
+def test_determinant_mode_gates_every_oracle(tmp_path):
+    out = tmp_path / "det.json"
+    args = ["--mode", "determinant", "--w", "0.8", "--out", str(out)]
+    assert main(args) == 0
+    assert main(args + ["--tol.bulk_bessel_rel", "1e-30"]) == 2
+    # off its sheet the boundary oracle does not run, so it is not gated
+    off_sheet = ["--mode", "determinant", "--w", "-0.5", "--out", str(out),
+                 "--tol.boundary_oracle_rel", "1e-30"]
+    assert main(off_sheet) == 0
+    payload = json.loads(out.read_text())
+    assert "boundary_oracle_rel" not in payload["oracle_residuals"]
 
 
 def test_usage_error_exit_code():

@@ -253,6 +253,19 @@ def test_boundary_term_from_symbol_trace():
         assert abs(value - target) < 1e-4 * abs(target), w
 
 
+@pytest.mark.parametrize("R, w, alpha", [
+    (np.nan, 1.0, 1.0),
+    (np.inf, 1.0, 1.0),
+    (1.0, complex(np.nan, 0.0), 1.0),
+    (1.0, 1e-300, 1.0),                   # w^2 underflows to 0
+    (1.0, 1e200j, 1.0),                   # w^2 overflows
+    (1.0, 1.0, np.nan),
+])
+def test_non_finite_or_overflowing_input_is_a_domain_error(R, w, alpha):
+    with pytest.raises(DomainError):
+        ln_det_ratio(DiskProblem(R=R, w=w, alpha=alpha, gauge=poly2(1.0, R)))
+
+
 def test_contour_spec_validation():
     with pytest.raises(ContourError):
         ContourSpec(eps=0.6)
