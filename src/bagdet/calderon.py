@@ -26,6 +26,7 @@ import numpy as np
 
 from .clifford import GammaRep, slash
 from .errors import ContourError, DomainError, SingularSymbolError
+from .quadrature import contour_closed
 
 __all__ = [
     "CotangentPoint",
@@ -153,15 +154,13 @@ def _riesz_projector_contour(a_mat: np.ndarray, circle=None, n_nodes: int = 256,
         raise ContourError(
             f"eigenvalue within {tol:g} x radius of the contour; "
             "adjust the circle")
-    k = a_mat.shape[0]
-    theta = 2 * np.pi * np.arange(n_nodes) / n_nodes
-    z = center + radius * np.exp(-1j * theta)          # clockwise
-    dz = -1j * radius * np.exp(-1j * theta) * (2 * np.pi / n_nodes)
-    total = np.zeros((k, k), dtype=complex)
-    eye = np.eye(k, dtype=complex)
-    for zk, dzk in zip(z, dz):
-        total += np.linalg.solve(a_mat - zk * eye, eye) * dzk
-    return total / (2j * np.pi)
+    eye = np.eye(a_mat.shape[0], dtype=complex)
+
+    def resolvent(z):
+        return np.linalg.solve(a_mat - z[:, None, None] * eye, eye)
+
+    return contour_closed(resolvent, center, radius, orientation=-1,
+                          n=n_nodes) / (2j * np.pi)
 
 
 def q_lambda_contour(a1, x, xi, lam: complex, circle=None,

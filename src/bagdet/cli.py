@@ -331,8 +331,7 @@ def _verify_checks(cfg: RunConfig):
                       abs(np.trace(q) - 1.0))
     checks.append(("q_idempotent", worst_q, cfg.tol("q_idempotent")))
 
-    from .seeley import a1_symbol
-    a1 = a1_symbol(rep)
+    a1 = seeley.a1_symbol(rep)
     worst = 0.0
     for _ in range(12):
         theta = rng.uniform(0, 2 * np.pi)

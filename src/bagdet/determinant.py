@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import polar_gammas
+from .clifford import make_rep_2d, polar_gammas
 from .errors import AccuracyError, BranchError, ContourError, DomainError
 from .greens import DiskProblem, PlanePoint, disk_green
 from .quadrature import (QuadratureResult, _gauss_legendre_rule,
                          integrate_adaptive, integrate_gauss_legendre,
                          j2_over_u_integral)
-from .seeley import GaugeField, d_tilde_minus1
+from .seeley import GaugeField, c_minus2, d_tilde_minus1
 
 __all__ = [
     "ContourSpec",
@@ -476,21 +476,15 @@ def residue_check(p: DiskProblem, n_ang: int = 256,
     ``lam_limit`` regularizes the xi = -1 evaluation, where the closed
     form is a 0/0 limit.
     """
-    from .seeley import c_minus2
-    from .clifford import make_rep_2d
-
     rep = make_rep_2d()
     theta0 = 0.0
+    phis = 2 * np.pi * np.arange(n_ang) / n_ang
+    xis, taus = np.cos(phis), np.sin(phis)
     interior_norms = []
     for frac in radii:
-        r = frac * p.R
-        a_th = p.gauge.a_theta(r)
-        phis = 2 * np.pi * np.arange(n_ang) / n_ang
-        acc = np.zeros((2, 2), dtype=complex)
-        for ph in phis:
-            acc += c_minus2(rep, a_th, np.cos(ph), np.sin(ph), 0.0,
-                            p.alpha, theta=theta0)
-        acc *= 2 * np.pi / n_ang
+        a_th = p.gauge.a_theta(frac * p.R)
+        acc = c_minus2(rep, a_th, xis, taus, 0.0, p.alpha,
+                       theta=theta0).sum(axis=0) * (2 * np.pi / n_ang)
         interior_norms.append(float(np.max(np.abs(acc))))
 
     boundary_sum = np.zeros((2, 2), dtype=complex)

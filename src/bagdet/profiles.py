@@ -7,8 +7,11 @@ differentiation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import DomainError
 from .seeley import GaugeField
 
 __all__ = ["poly2", "gaussian", "polynomial", "make_profile", "PROFILES"]
@@ -42,8 +45,13 @@ def polynomial(coeffs, R: float) -> GaugeField:
 
 
 def make_profile(name: str, params, R: float) -> GaugeField:
-    """Build a profile from its CLI name and parameter list."""
+    """Build a profile from its CLI name and parameter list.
+
+    Raises DomainError if a parameter is not finite.
+    """
     params = list(params)
+    if not all(math.isfinite(v) for v in params):
+        raise DomainError(f"profile parameters must be finite, got {params}")
     if name == "poly2":
         if len(params) != 1:
             raise ValueError("poly2 takes one parameter: phi0")

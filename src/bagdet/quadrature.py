@@ -1,6 +1,6 @@
-"""Deterministic numerical backbone: adaptive quadrature, closed-contour
-trapezoid integration, Gauss-Legendre rules and the special functions the
-rest of the package needs.
+"""Deterministic numerical backbone: adaptive quadrature, the batched
+periodic trapezoid rule on closed circles, Gauss-Legendre rules and the
+split Bessel integral of the bulk oracle.
 
 Everything here is deterministic: the same inputs always produce
 bit-identical outputs (fixed node sets, no randomized algorithms).
@@ -22,8 +22,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "contour_closed",
-    "bessel_j",
-    "digamma",
     "integrate_gauss_legendre",
     "j2_over_u_integral",
 ]
@@ -106,23 +104,30 @@ def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
 
 def contour_closed(f, center: complex, radius: float, orientation: int = 1,
                    n: int = 256):
-    """Trapezoid rule for a closed circular contour integral.
+    """Periodic trapezoid rule for a closed circular contour integral.
 
     Computes ``oint f(z) dz`` over the circle ``|z - center| = radius``.
-    For integrands analytic in a neighborhood of the circle the trapezoid
-    rule converges spectrally in ``n``.
+    For integrands analytic in a neighborhood of the circle the rule
+    converges spectrally in ``n`` (Trefethen & Weideman, SIAM Rev. 2014).
 
     Parameters
     ----------
     f : callable
-        Maps a complex point to a scalar or an ndarray (matrix-valued
-        integrands are summed entrywise).
+        Batched integrand: receives all ``n`` nodes as one complex array
+        of shape ``(n,)`` and returns an array of shape ``(n, ...)``, one
+        scalar or matrix per node (matrix values are summed entrywise).
     orientation : int
         +1 for counterclockwise, -1 for clockwise.
 
     Returns
     -------
     complex or ndarray
+        The sum over the nodes, of shape ``(...)``.
+
+    Raises
+    ------
+    ValueError
+        If ``f`` returns a non-finite value at any node.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -131,32 +136,16 @@ def contour_closed(f, center: complex, radius: float, orientation: int = 1,
     theta = 2 * np.pi * np.arange(n) / n
     z = center + radius * np.exp(1j * orientation * theta)
     dz = 1j * orientation * (z - center) * (2 * np.pi / n)
-    total = None
-    for zk, dzk in zip(z, dz):
-        fk = np.asarray(f(zk), dtype=complex) * dzk
-        if np.any(~np.isfinite(fk)):
-            raise ValueError(f"integrand not finite at z = {zk}")
-        total = fk if total is None else total + fk
-    if total is not None and total.shape == ():
+    vals = np.asarray(f(z), dtype=complex)
+    terms = vals * dz.reshape((n,) + (1,) * (vals.ndim - 1))
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        raise ValueError(
+            f"integrand not finite at z = {z[np.nonzero(bad)[0][0]]}")
+    total = terms.sum(axis=0)
+    if total.ndim == 0:
         return complex(total)
     return total
-
-
-def bessel_j(order: float, x) -> float:
-    """Bessel function of the first kind J_order(x).
-
-    Integer orders cover the kernel integrals used elsewhere; real
-    (half-integer) orders are accepted as well since the boundary-constant
-    checks need them.
-    """
-    return _spec.jv(order, x)
-
-
-def digamma(x: float) -> float:
-    """Digamma function psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("digamma implemented for positive arguments only")
-    return _spec.digamma(x)
 
 
 @functools.lru_cache(maxsize=32)

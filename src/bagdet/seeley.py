@@ -11,6 +11,12 @@ and its tilde transform replaces the normal covariable tau by a second
 normal distance u through a closed tau-contour integral.  The square root
 s = sqrt(xi^2 - lambda^2) is always the principal branch with Re s > 0,
 which is what the decay requirement selects.
+
+The symbol functions broadcast: ``c_minus1`` and ``c_minus2`` accept
+scalars or NumPy arrays of ``xi``/``tau``, ``d_minus1`` an array of
+``tau``.  Array inputs give shape ``(..., 2, 2)`` (one matrix per node),
+scalar inputs a ``(2, 2)`` matrix, and every singularity and branch check
+covers every node.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from scipy import special as _spec
 
 from .clifford import GammaRep, gamma_t, polar_gammas
 from .errors import BranchError, SingularSymbolError
-from .quadrature import integrate_adaptive
+from .quadrature import contour_closed, integrate_adaptive
 
 __all__ = [
     "GaugeField",
@@ -107,9 +113,27 @@ def decay_root(xi, lam) -> complex:
     return complex(s)
 
 
+def _expand(x) -> np.ndarray:
+    """``x`` with two trailing unit axes, to broadcast against the matrix
+    axes of a stack of 2 x 2 symbols."""
+    return np.asarray(x)[..., None, None]
+
+
+def _check_regular(denom, scale, what: str) -> None:
+    """Raise SingularSymbolError where |denom| <= _SING_TOL max(scale, 1).
+
+    ``scale`` is real (built from moduli), so the bound is a relative one
+    also at complex nodes; the check covers every node of a batch.
+    """
+    bad = np.abs(denom) <= _SING_TOL * np.maximum(scale, 1.0)
+    if np.any(bad):
+        raise SingularSymbolError(
+            f"{what} = {np.asarray(denom)[bad].flat[0]} is singular")
+
+
 def _xi_slash(theta: float, xi, tau) -> np.ndarray:
     _, g_theta = polar_gammas(theta)
-    return xi * g_theta + tau * gamma_t(theta)
+    return _expand(xi) * g_theta + _expand(tau) * gamma_t(theta)
 
 
 def a1_matrix(rep: GammaRep, xi, tau, lam, theta: float = 0.0) -> np.ndarray:
@@ -120,15 +144,14 @@ def a1_matrix(rep: GammaRep, xi, tau, lam, theta: float = 0.0) -> np.ndarray:
 def c_minus1(rep: GammaRep, xi, tau, lam, theta: float = 0.0) -> np.ndarray:
     """Leading interior coefficient (xislash - lambda Id)/(lambda^2 - xi^2 - tau^2).
 
-    This is the exact inverse of the degree-one symbol.
+    This is the exact inverse of the degree-one symbol.  ``xi`` and
+    ``tau`` are scalars or arrays; arrays give shape ``(..., 2, 2)``.
     """
     denom = complex(lam) ** 2 - xi * xi - tau * tau
-    scale = abs(lam) ** 2 + xi * xi + tau * tau
-    if abs(denom) <= _SING_TOL * max(scale, 1.0):
-        raise SingularSymbolError(
-            f"lambda^2 - xi^2 - tau^2 = {denom} is singular")
+    _check_regular(denom, abs(lam) ** 2 + abs(xi) ** 2 + abs(tau) ** 2,
+                   "lambda^2 - xi^2 - tau^2")
     return (_xi_slash(theta, xi, tau)
-            - lam * np.eye(rep.k, dtype=complex)) / denom
+            - lam * np.eye(rep.k, dtype=complex)) / _expand(denom)
 
 
 def c_minus2(rep: GammaRep, a_theta, xi, tau, lam, alpha,
@@ -144,19 +167,22 @@ def c_minus2(rep: GammaRep, a_theta, xi, tau, lam, alpha,
 
     Equivalently c_{-2} = -alpha c_{-1} Aslash c_{-1}, homogeneous of
     degree -2 in (xi, tau, lambda).
+
+    ``xi`` and ``tau`` broadcast: scalars give one (2, 2) matrix, arrays
+    a stack of shape ``(..., 2, 2)`` with entry ``[j]`` equal to the
+    scalar call at ``(xi[j], tau[j])``.  The singularity check runs on
+    every node; one singular node raises SingularSymbolError.
     """
     denom = complex(lam) ** 2 - xi * xi - tau * tau
-    scale = abs(lam) ** 2 + xi * xi + tau * tau
-    if abs(denom) <= _SING_TOL * max(scale, 1.0):
-        raise SingularSymbolError(
-            f"lambda^2 - xi^2 - tau^2 = {denom} is singular")
+    _check_regular(denom, abs(lam) ** 2 + abs(xi) ** 2 + abs(tau) ** 2,
+                   "lambda^2 - xi^2 - tau^2")
     _, g_theta = polar_gammas(theta)
     eye = np.eye(rep.k, dtype=complex)
     xi_dot_a = xi * a_theta
     a_slash = a_theta * g_theta
-    num = (2.0 * lam * xi_dot_a * eye - denom * a_slash
-           - 2.0 * xi_dot_a * _xi_slash(theta, xi, tau))
-    return alpha * num / denom ** 2
+    num = (_expand(2.0 * lam * xi_dot_a) * eye - _expand(denom) * a_slash
+           - _expand(2.0 * xi_dot_a) * _xi_slash(theta, xi, tau))
+    return alpha * num / _expand(denom ** 2)
 
 
 def a1_symbol(rep: GammaRep) -> SymbolFn:
@@ -212,23 +238,27 @@ def d_minus1(theta: float, t: float, xi, tau, lam, w) -> np.ndarray:
                     i e^{-i theta}(xi+s)(w lam + i xi + tau) ],
                   [ lam e^{i theta}(lam - w(i xi - tau)),
                     lam (w lam + i xi + tau) ]].
+
+    ``tau`` is a scalar or an array of (complex) covariables; an array
+    gives shape ``tau.shape + (2, 2)`` with entry ``[j]`` equal to the
+    scalar call at ``tau[j]``.  The singularity check runs on every node;
+    one singular node raises SingularSymbolError.
     """
     s = decay_root(xi, lam)
     denom = xi * xi + tau * tau - complex(lam) ** 2
-    scale = abs(lam) ** 2 + xi * xi + tau * tau
-    if abs(denom) <= _SING_TOL * max(scale, 1.0):
-        raise SingularSymbolError(
-            f"xi^2 + tau^2 - lambda^2 = {denom} is singular")
+    _check_regular(denom, abs(lam) ** 2 + abs(xi) ** 2 + abs(tau) ** 2,
+                   "xi^2 + tau^2 - lambda^2")
     bden = _d_denominator(xi, lam, w, s)
     em = np.exp(-1j * theta)
     ep = np.exp(1j * theta)
     left = lam - w * (1j * xi - tau)
     right = w * lam + 1j * xi + tau
-    mat = np.array([
-        [1j * (xi + s) * left, 1j * em * (xi + s) * right],
-        [lam * ep * left, lam * right],
-    ], dtype=complex)
-    return np.exp(-t * s) / (denom * bden) * mat
+    mat = np.empty(np.shape(tau) + (2, 2), dtype=complex)
+    mat[..., 0, 0] = 1j * (xi + s) * left
+    mat[..., 0, 1] = 1j * em * (xi + s) * right
+    mat[..., 1, 0] = lam * ep * left
+    mat[..., 1, 1] = lam * right
+    return _expand(np.exp(-t * s) / (denom * bden)) * mat
 
 
 def d_tilde_minus1(theta: float, t: float, u: float, xi, lam, w) -> np.ndarray:
@@ -270,19 +300,17 @@ def d_tilde_minus1_contour(theta: float, t: float, u: float, xi, lam, w,
         -oint e^{-i tau u} d_{-1}(theta, t; xi, tau; lambda) dtau
 
     taken counterclockwise around the pole tau = -i s, the one that pairs
-    the e^{-i tau u} kernel with decay in u.
+    the e^{-i tau u} kernel with decay in u, by the periodic trapezoid
+    rule of :func:`~bagdet.quadrature.contour_closed` with one batched
+    ``d_minus1`` call on all ``n_nodes`` nodes.
     """
     s = decay_root(xi, lam)
-    pole = -1j * s
-    radius = 0.5 * abs(s)
-    phis = 2 * np.pi * np.arange(n_nodes) / n_nodes
-    taus = pole + radius * np.exp(1j * phis)
-    dtau = 1j * radius * np.exp(1j * phis) * (2 * np.pi / n_nodes)
-    total = np.zeros((2, 2), dtype=complex)
-    for tau_k, dk in zip(taus, dtau):
-        total += np.exp(-1j * tau_k * u) * d_minus1(theta, t, xi, tau_k,
-                                                    lam, w) * dk
-    return -total
+
+    def integrand(tau):
+        return _expand(np.exp(-1j * tau * u)) * d_minus1(theta, t, xi, tau,
+                                                         lam, w)
+
+    return -contour_closed(integrand, -1j * s, 0.5 * abs(s), n=n_nodes)
 
 
 def compose_symbols_check(a_list, c_list, order: int, samples) -> float:

@@ -20,6 +20,20 @@ def tangent_frame(theta):
     return n, t
 
 
+def test_q_lambda_contour_makes_at_most_one_batched_solve(monkeypatch):
+    calls = []
+    inner = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return inner(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    q_lambda_contour(a1_symbol(make_rep_2d()), 0.7, 1.3, 0.4 - 0.3j)
+    assert len(calls) <= 1
+    assert all(shape == (256, 2, 2) for shape in calls)
+
+
 def test_q_principal_2d_heaviside():
     rep = make_rep_2d()
     n, t = tangent_frame(0.0)

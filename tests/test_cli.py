@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,20 @@ def test_domain_error_exit_code():
 ])
 def test_non_finite_or_overflowing_input_exit_code(flags):
     assert main(["--mode", "determinant"] + flags) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--params", "nan"],
+    ["--params", "inf"],
+    ["--profile", "gaussian", "--params", "1,inf"],
+    ["--profile", "polynomial", "--params", "1,-inf,2"],
+    ["--mode", "sweep", "--sweep", "phi0=1,nan"],
+])
+def test_non_finite_profile_parameter_exit_code(flags):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--mode", "determinant"] + flags) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_determinant_mode_gates_every_oracle(tmp_path):

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from bagdet.errors import AccuracyError
-from bagdet.quadrature import (bessel_j, contour_closed, digamma,
-                               integrate_adaptive, integrate_gauss_legendre,
-                               j2_over_u_integral)
-
-EULER_GAMMA = 0.5772156649015329
+from bagdet.quadrature import (contour_closed, integrate_adaptive,
+                               integrate_gauss_legendre, j2_over_u_integral)
 
 
 def test_rational_halfline_integral():
@@ -68,43 +64,30 @@ def test_contour_spectral_convergence():
 
 def test_contour_matrix_valued():
     mat = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
-    val = contour_closed(lambda z: mat / z, 0.0, 2.0, n=64)
+    val = contour_closed(lambda z: mat / z[:, None, None], 0.0, 2.0, n=64)
     assert np.allclose(val, 2j * np.pi * mat, atol=1e-12)
 
 
-def test_bessel_small_argument():
-    assert bessel_j(2, 0.0) == 0.0
-    assert bessel_j(0, 0.0) == 1.0
+def test_contour_receives_all_nodes_at_once():
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        return 1.0 / z
+
+    contour_closed(f, 0.0, 1.0, n=48)
+    assert calls == [(48,)]
 
 
-def test_bessel_recurrence():
-    # J_{n-1}(x) + J_{n+1}(x) = (2 n / x) J_n(x)
-    for n in (1, 2, 5):
-        for x in np.linspace(0.1, 40.0, 57):
-            lhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)
-            rhs = 2 * n / x * bessel_j(n, x)
-            assert abs(lhs - rhs) < 1e-10
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_contour_rejects_one_nonfinite_node(bad):
+    def f(z):
+        vals = np.ones((z.size, 2, 2), dtype=complex)
+        vals[17, 1, 0] = bad
+        return vals
 
-
-def test_bessel_j0_first_zero():
-    root = brentq(lambda x: bessel_j(0, x), 2.0, 3.0, xtol=1e-13)
-    assert abs(root - 2.404825557695773) < 1e-9
-
-
-def test_digamma_values():
-    assert abs(digamma(1.0) + EULER_GAMMA) < 1e-12
-    assert abs(digamma(2.0) - (1.0 - EULER_GAMMA)) < 1e-12
-
-
-def test_digamma_recurrence():
-    rng = np.random.default_rng(5)
-    for x in rng.uniform(0.3, 20.0, size=25):
-        assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) < 1e-11
-
-
-def test_digamma_domain():
-    with pytest.raises(ValueError):
-        digamma(-1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        contour_closed(f, 0.0, 1.0, n=32)
 
 
 def test_gauss_legendre_polynomial_exactness():

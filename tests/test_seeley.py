@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bagdet import seeley
 from bagdet.clifford import gamma_t, make_rep_2d, polar_gammas
 from bagdet.errors import BagdetError, SingularSymbolError
 from bagdet.seeley import (GaugeField, a0_symbol, a1_matrix, a1_symbol,
@@ -172,6 +173,87 @@ def test_d_tilde_matches_contour_transform():
     assert checked > 30
 
 
+def test_d_minus1_batch_matches_scalar_calls():
+    rng = np.random.default_rng(61)
+    checked = 0
+    for _ in range(20):
+        theta, t, u, xi, lam, w = admissible_sample(rng)
+        taus = rng.normal(size=33) + 1j * rng.normal(size=33)
+        try:
+            scalar = np.stack([d_minus1(theta, t, xi, tau, lam, w)
+                               for tau in taus])
+        except BagdetError:
+            continue
+        batch = d_minus1(theta, t, xi, taus, lam, w)
+        assert batch.shape == (33, 2, 2)
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+        checked += 1
+    assert checked > 10
+    grid = d_minus1(theta, t, xi, taus.reshape(3, 11), lam, w)
+    assert grid.shape == (3, 11, 2, 2)
+
+
+def test_c_minus2_batch_matches_scalar_calls():
+    rng = np.random.default_rng(67)
+    for _ in range(10):
+        theta = rng.uniform(0, 2 * np.pi)
+        a_th, alpha = rng.uniform(0.2, 1.5, size=2)
+        lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        xis = rng.normal(size=25)
+        taus = rng.normal(size=25) + 1j * rng.normal(size=25)
+        scalar = np.stack([c_minus2(REP, a_th, x, tau, lam, alpha, theta)
+                           for x, tau in zip(xis, taus)])
+        batch = c_minus2(REP, a_th, xis, taus, lam, alpha, theta)
+        assert batch.shape == (25, 2, 2)
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+        scalar1 = np.stack([c_minus1(REP, x, tau, lam, theta)
+                            for x, tau in zip(xis, taus)])
+        np.testing.assert_allclose(c_minus1(REP, xis, taus, lam, theta),
+                                   scalar1, rtol=1e-14, atol=0)
+
+
+def test_one_singular_node_in_a_batch_raises():
+    xi, lam = 0.8, 0.3 + 0.2j
+    taus = np.linspace(-2.0, 2.0, 9) + 0.5j
+    taus[4] = np.sqrt(complex(lam) ** 2 - xi * xi)    # xi^2+tau^2 = lam^2
+    with pytest.raises(SingularSymbolError):
+        d_minus1(0.4, 0.1, xi, taus, lam, 1.0)
+    xis = np.full(9, xi)
+    with pytest.raises(SingularSymbolError):
+        c_minus1(REP, xis, taus, lam)
+    with pytest.raises(SingularSymbolError):
+        c_minus2(REP, 0.7, xis, taus, lam, 1.0)
+
+
+def test_singular_check_scale_is_real_at_complex_tau():
+    # |xi^2 + tau^2 - lam^2| lies above the absolute 1e-12 but below the
+    # relative 1e-12 (|lam|^2 + xi^2 + |tau|^2): singular.  A complex scale
+    # xi^2 + tau^2 (about 1e-6 here) would hide it.
+    xi, lam = 1e3, 0.0
+    tau = np.complex128(1j * xi * np.sqrt(1.0 - 1e-12))   # a contour node
+    denom = abs(xi * xi + tau * tau - lam ** 2)
+    assert 1e-12 < denom < 1e-12 * (abs(lam) ** 2 + xi ** 2 + abs(tau) ** 2)
+    with pytest.raises(SingularSymbolError):
+        d_minus1(0.0, 0.0, xi, tau, lam, 1.0)
+    with pytest.raises(SingularSymbolError):
+        c_minus1(REP, xi, tau, lam)
+    with pytest.raises(SingularSymbolError):
+        c_minus2(REP, 0.5, xi, tau, lam, 1.0)
+
+
+def test_d_tilde_contour_makes_one_batched_d_minus1_call(monkeypatch):
+    calls = []
+    inner = seeley.d_minus1
+
+    def counting(theta, t, xi, tau, lam, w):
+        calls.append(np.shape(tau))
+        return inner(theta, t, xi, tau, lam, w)
+
+    monkeypatch.setattr(seeley, "d_minus1", counting)
+    d_tilde_minus1_contour(0.3, 0.2, 0.4, 1.1, 0.2 + 0.1j, 0.9 + 0.2j)
+    assert calls == [(512,)]
+
+
 def test_d_tilde_mit_bag_zero_lambda():
     # lambda=0, xi=1, w=1: sqrt = 1, prefactor pi i/(-2), only the (1,1)
     # entry survives with factor (1+1)(0+1*(1+1)) = 4
@@ -253,6 +335,18 @@ def test_k_nu_values():
     assert abs(k_nu(2) - (np.log(2.0) - EULER_GAMMA)) < 1e-10
     # psi(2) = 1 - gamma
     assert abs(k_nu(4) - (np.log(2.0) - EULER_GAMMA + 0.5)) < 1e-12
+
+
+def test_k_nu_recurrence():
+    # psi(x + 1) = psi(x) + 1/x gives K_{nu+2} = K_nu + 1/nu
+    for nu in range(2, 12):
+        assert abs(k_nu(nu + 2) - k_nu(nu) - 1.0 / nu) < 1e-12
+
+
+def test_k_nu_domain():
+    for nu in (1, 0, -3):
+        with pytest.raises(ValueError):
+            k_nu(nu)
 
 
 def test_k_nu_bessel_route():
