@@ -29,7 +29,6 @@ from .errors import ContourError, DomainError, SingularSymbolError
 from .quadrature import contour_closed
 
 __all__ = [
-    "CotangentPoint",
     "BoundaryCondition",
     "EllipticityReport",
     "AgmonConeReport",
@@ -47,23 +46,6 @@ __all__ = [
 ]
 
 RANK_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CotangentPoint:
-    """A cotangent sample (xi, tau, lambda) used in symbol evaluation."""
-
-    xi: object
-    tau: float | None = None
-    lam: complex | None = None
-
-    def is_nonzero(self) -> bool:
-        parts = [np.linalg.norm(np.atleast_1d(self.xi))]
-        if self.tau is not None:
-            parts.append(abs(self.tau))
-        if self.lam is not None:
-            parts.append(abs(self.lam))
-        return max(parts) > 0.0
 
 
 @dataclass(frozen=True)
@@ -109,18 +91,23 @@ def q_principal(rep: GammaRep, n, xi) -> np.ndarray:
     ----------
     rep : GammaRep
     n : array_like
-        Unit outward normal (length rep.nu).
+        Unit outward normal (length rep.nu), or a stack of shape
+        ``(..., nu)``.
     xi : array_like
-        Cotangent vector orthogonal to n, nonzero.
+        Cotangent vector orthogonal to n, nonzero; a stack like ``n``.
+
+    Stacks give shape ``(..., k, k)``.  The domain checks run on every
+    row: one bad row raises DomainError for the whole batch.
     """
     n = np.asarray(n, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    norm_xi = np.linalg.norm(xi)
-    if norm_xi == 0.0:
+    norm_xi = np.linalg.norm(xi, axis=-1, keepdims=True)
+    if np.any(norm_xi == 0.0):
         raise DomainError("xi must be nonzero")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(n, axis=-1) - 1.0) > 1e-10):
         raise DomainError("n must be a unit vector")
-    if abs(np.dot(n, xi)) > 1e-10 * norm_xi:
+    if np.any(np.abs(np.sum(n * xi, axis=-1, keepdims=True))
+              > 1e-10 * norm_xi):
         raise DomainError("xi must be orthogonal to n")
     eye = np.eye(rep.k, dtype=complex)
     return 0.5 * (eye + 1j * slash(rep.gammas, xi / norm_xi)
@@ -343,7 +330,7 @@ class AgmonConeReport:
         return json.dumps(asdict(self), default=_json_default, indent=2)
 
 
-def check_agmon_cone(bc: BoundaryCondition, disk, sectors,
+def check_agmon_cone(bc: BoundaryCondition, sectors,
                      xi_samples: Sequence[float] = (1.0, -1.0, 2.0, -2.0),
                      n_interior: int = 32,
                      lambda_radii: Sequence[float] = (0.5, 1.0, 2.0, 5.0),
@@ -355,11 +342,9 @@ def check_agmon_cone(bc: BoundaryCondition, disk, sectors,
     +-|xi|, real) lies in the cone.  Condition 2: rank(b q(lambda)) equals
     rank(q(lambda)) for sampled lambda in the cone (the lambda = 0 face is
     included) and tangential |xi| >= 1.  A sampled check, not a proof; the
-    grids are recorded in the report.
-
-    ``disk`` is accepted for interface symmetry with the other checks and
-    may be None: the principal symbol family of the disk operator does
-    not depend on the problem data, only the condition ``bc`` does.
+    grids are recorded in the report.  The principal symbol family of
+    the disk operator does not depend on the problem data, only the
+    condition ``bc`` does.
     """
     rng = np.random.default_rng(7)
     cond1 = True

@@ -320,15 +320,14 @@ def _verify_checks(cfg: RunConfig):
     rng = np.random.default_rng(2024)
     checks = []
 
-    worst_q = 0.0
-    for _ in range(200):
-        theta = rng.uniform(0, 2 * np.pi)
-        n = np.array([np.cos(theta), np.sin(theta)])
-        xi = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
-        q = calderon.q_principal(rep, n, xi * np.array([-np.sin(theta),
-                                                        np.cos(theta)]))
-        worst_q = max(worst_q, float(np.max(np.abs(q @ q - q))),
-                      abs(np.trace(q) - 1.0))
+    theta, xi = np.array([(rng.uniform(0, 2 * np.pi),
+                           rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
+                          for _ in range(200)]).T
+    n = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    tangent = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    q = calderon.q_principal(rep, n, xi[:, None] * tangent)
+    worst_q = max(float(np.max(np.abs(q @ q - q))),
+                  float(np.max(np.abs(np.trace(q, axis1=-2, axis2=-1) - 1.0))))
     checks.append(("q_idempotent", worst_q, cfg.tol("q_idempotent")))
 
     a1 = seeley.a1_symbol(rep)

@@ -110,14 +110,16 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def slash(gammas, vector) -> np.ndarray:
-    """Contraction sum_mu v_mu gamma_mu for a real or complex vector."""
+    """Contraction sum_mu v_mu gamma_mu for a real or complex vector.
+
+    ``vector`` may be a stack of shape ``(..., nu)``; the result then has
+    shape ``(..., k, k)`` with entry ``[j]`` the contraction of row ``j``.
+    """
+    gammas = np.asarray(gammas, dtype=complex)
     vector = np.asarray(vector)
-    if len(vector) != len(gammas):
+    if vector.shape[-1:] != (len(gammas),):
         raise ValueError("vector length must match the number of gammas")
-    out = np.zeros_like(np.asarray(gammas[0], dtype=complex))
-    for v, g in zip(vector, gammas):
-        out = out + v * np.asarray(g, dtype=complex)
-    return out
+    return (vector[..., None, None] * gammas).sum(axis=-3)
 
 
 def mats_close(a: np.ndarray, b: np.ndarray, tol: float = ALG_TOL) -> bool:

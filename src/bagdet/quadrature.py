@@ -1,6 +1,10 @@
-"""Deterministic numerical backbone: adaptive quadrature, the batched
-periodic trapezoid rule on closed circles, Gauss-Legendre rules and the
-split Bessel integral of the bulk oracle.
+"""Deterministic numerical backbone and the package's only node builder:
+adaptive quadrature (:func:`integrate_adaptive`), the periodic trapezoid
+rule on the angles 2 pi j / n (:func:`contour_closed`,
+:func:`circle_mean`), Gauss-Legendre rules (:func:`gauss_legendre_panel`,
+:func:`integrate_gauss_legendre`) and the split Bessel integral of the
+bulk oracle.  The fixed rules take batched integrands: ``f`` receives all
+nodes as one array and returns one value per node along axis 0.
 
 Everything here is deterministic: the same inputs always produce
 bit-identical outputs (fixed node sets, no randomized algorithms).
@@ -22,6 +26,8 @@ __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "contour_closed",
+    "circle_mean",
+    "gauss_legendre_panel",
     "integrate_gauss_legendre",
     "j2_over_u_integral",
 ]
@@ -102,6 +108,23 @@ def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
                             nodes_used=nodes)
 
 
+@functools.lru_cache(maxsize=8)
+def _circle_angles(n: int) -> np.ndarray:
+    """Angles 2 pi j / n of the periodic rule; built once per n, read-only."""
+    theta = 2 * np.pi * np.arange(n) / n
+    theta.flags.writeable = False
+    return theta
+
+
+def circle_mean(f, n: int):
+    """(1/2 pi) int_0^{2 pi} f(phi) dphi by the periodic trapezoid rule.
+
+    ``f`` receives all ``n`` angles 2 pi j / n as one read-only ``(n,)``
+    array and returns ``(n, ...)``; the result has shape ``(...)``.
+    """
+    return np.asarray(f(_circle_angles(n))).sum(axis=0) / n
+
+
 def contour_closed(f, center: complex, radius: float, orientation: int = 1,
                    n: int = 256):
     """Periodic trapezoid rule for a closed circular contour integral.
@@ -133,7 +156,7 @@ def contour_closed(f, center: complex, radius: float, orientation: int = 1,
         raise ValueError("radius must be positive")
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    theta = 2 * np.pi * np.arange(n) / n
+    theta = _circle_angles(n)
     z = center + radius * np.exp(1j * orientation * theta)
     dz = 1j * orientation * (z - center) * (2 * np.pi / n)
     vals = np.asarray(f(z), dtype=complex)
@@ -161,11 +184,18 @@ def _gauss_legendre_rule(n: int):
     return nodes, weights
 
 
-def integrate_gauss_legendre(f, a: float, b: float, n: int = 16) -> complex:
-    """Fixed-order Gauss-Legendre rule on [a, b] (deterministic node set)."""
+def gauss_legendre_panel(a: float, b: float, n: int):
+    """Nodes and weights ``(x, w)`` of the n-point Gauss-Legendre rule
+    mapped to the panel [a, b]."""
     nodes, weights = _gauss_legendre_rule(n)
-    x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-    vals = np.array([f(xi) for xi in x], dtype=complex)
+    return 0.5 * (b - a) * nodes + 0.5 * (b + a), 0.5 * (b - a) * weights
+
+
+def integrate_gauss_legendre(f, a: float, b: float, n: int = 16) -> complex:
+    """Fixed-order Gauss-Legendre rule on [a, b]; ``f`` receives all ``n``
+    nodes as one ``(n,)`` array and returns the ``n`` values."""
+    nodes, weights = _gauss_legendre_rule(n)
+    vals = np.asarray(f(0.5 * (b - a) * nodes + 0.5 * (b + a)), dtype=complex)
     return complex(0.5 * (b - a) * np.sum(weights * vals))
 
 

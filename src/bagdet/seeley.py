@@ -29,7 +29,7 @@ from scipy import special as _spec
 
 from .clifford import GammaRep, gamma_t, polar_gammas
 from .errors import BranchError, SingularSymbolError
-from .quadrature import contour_closed, integrate_adaptive
+from .quadrature import circle_mean, contour_closed, integrate_adaptive
 
 __all__ = [
     "GaugeField",
@@ -79,20 +79,15 @@ class GaugeField:
 
 @dataclass(frozen=True)
 class SymbolFn:
-    """Matrix-valued symbol with a declared homogeneity degree.
+    """Matrix-valued interior symbol, homogeneous of ``degree`` in
+    (xi, tau, lambda).
 
-    ``eval(x, t, xi, tau, lam)`` returns the k x k value.  Interior
-    symbols (kind ``interior_c``) are homogeneous of ``degree`` in
-    (xi, tau, lambda); boundary symbols (kind ``boundary_d``) are
-    homogeneous in (1/t, xi, tau, lambda).  Optional analytic derivative
-    callables feed the composition check.
+    ``eval(x, t, xi, tau, lam)`` returns the k x k value; arrays of
+    ``xi``/``tau`` give a stack of shape ``(..., k, k)``.
     """
 
     degree: int
     eval: Callable
-    kind: str = "interior_c"
-    dxi_eval: Callable | None = None
-    dx_eval: Callable | None = None
 
 
 def decay_root(xi, lam) -> complex:
@@ -189,8 +184,7 @@ def a1_symbol(rep: GammaRep) -> SymbolFn:
     """a_1 as a SymbolFn; x is the boundary angle theta."""
     return SymbolFn(
         degree=1,
-        eval=lambda x, t, xi, tau, lam: a1_matrix(rep, xi, tau, lam, theta=x),
-        kind="interior_c")
+        eval=lambda x, t, xi, tau, lam: a1_matrix(rep, xi, tau, lam, theta=x))
 
 
 def a0_symbol(rep: GammaRep, gauge: GaugeField, alpha: float) -> SymbolFn:
@@ -198,16 +192,16 @@ def a0_symbol(rep: GammaRep, gauge: GaugeField, alpha: float) -> SymbolFn:
 
     def ev(x, t, xi, tau, lam):
         _, g_theta = polar_gammas(x)
-        return alpha * gauge.a_theta(gauge.R - t) * g_theta
+        a0 = alpha * gauge.a_theta(gauge.R - t) * g_theta
+        return np.broadcast_to(a0, np.shape(xi) + a0.shape)
 
-    return SymbolFn(degree=0, eval=ev, kind="interior_c")
+    return SymbolFn(degree=0, eval=ev)
 
 
 def c_minus1_symbol(rep: GammaRep) -> SymbolFn:
     return SymbolFn(
         degree=-1,
-        eval=lambda x, t, xi, tau, lam: c_minus1(rep, xi, tau, lam, theta=x),
-        kind="interior_c")
+        eval=lambda x, t, xi, tau, lam: c_minus1(rep, xi, tau, lam, theta=x))
 
 
 def c_minus2_symbol(rep: GammaRep, gauge: GaugeField, alpha: float) -> SymbolFn:
@@ -215,7 +209,7 @@ def c_minus2_symbol(rep: GammaRep, gauge: GaugeField, alpha: float) -> SymbolFn:
         return c_minus2(rep, gauge.a_theta(gauge.R - t), xi, tau, lam, alpha,
                         theta=x)
 
-    return SymbolFn(degree=-2, eval=ev, kind="interior_c")
+    return SymbolFn(degree=-2, eval=ev)
 
 
 def _d_denominator(xi, lam, w, s):
@@ -316,12 +310,10 @@ def d_tilde_minus1_contour(theta: float, t: float, u: float, xi, lam, w,
 def compose_symbols_check(a_list, c_list, order: int, samples) -> float:
     """Residual of the graded symbol composition at the given order.
 
-    Products a_i c_j with deg(a_i) + deg(c_j) = order are summed; when
-    both factors carry analytic derivative callables the first-order
-    derivative term (d_xi a)(D_x c) is included, otherwise it is taken at
-    a point where the coefficients are locally constant and drops out.
-    Returns the maximum deviation (from Id at order 0, from 0 below) over
-    the samples.
+    Products a_i c_j with deg(a_i) + deg(c_j) = order are summed; the
+    derivative terms (d_xi a)(D_x c) of the composition are not included,
+    so this checks the algebraic part of the recursion.  Returns the
+    maximum deviation (from Id at order 0, from 0 below) over the samples.
     """
     worst = 0.0
     for x, t, xi, tau, lam in samples:
@@ -331,12 +323,6 @@ def compose_symbols_check(a_list, c_list, order: int, samples) -> float:
                 if a_sym.degree + c_sym.degree == order:
                     term = a_sym.eval(x, t, xi, tau, lam) @ \
                         c_sym.eval(x, t, xi, tau, lam)
-                    acc = term if acc is None else acc + term
-                if (a_sym.degree + c_sym.degree - 1 == order
-                        and a_sym.dxi_eval is not None
-                        and c_sym.dx_eval is not None):
-                    term = a_sym.dxi_eval(x, t, xi, tau, lam) @ \
-                        (-1j * c_sym.dx_eval(x, t, xi, tau, lam))
                     acc = term if acc is None else acc + term
         if acc is None:
             continue
@@ -350,17 +336,15 @@ def m_coefficient(symbol, x, t, n_nodes: int = 256) -> np.ndarray:
     """Angular average of a degree -nu symbol over the unit covector circle.
 
     Computes (1/(2 pi)) int_{|(xi,tau)|=1} c(x, t; xi, tau; 0) dsigma by
-    the trapezoid rule (spectrally accurate for the trigonometric
-    integrands at hand).  ``symbol`` is a SymbolFn or a bare callable with
-    the same signature.
+    the periodic trapezoid rule of :func:`~bagdet.quadrature.circle_mean`
+    (spectrally accurate for the trigonometric integrands at hand), with
+    one symbol call on all ``n_nodes`` covectors.  ``symbol`` is a
+    SymbolFn or a bare callable with the same signature; it must accept
+    arrays of ``xi``/``tau`` and return one matrix per node.
     """
     ev = getattr(symbol, "eval", symbol)
-    phis = 2 * np.pi * np.arange(n_nodes) / n_nodes
-    acc = None
-    for phi in phis:
-        val = ev(x, t, np.cos(phi), np.sin(phi), 0.0)
-        acc = val if acc is None else acc + val
-    return acc / n_nodes
+    return circle_mean(lambda phi: ev(x, t, np.cos(phi), np.sin(phi), 0.0),
+                       n_nodes)
 
 
 _EULER_GAMMA = float(np.euler_gamma)

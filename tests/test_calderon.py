@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bagdet.calderon import (CotangentPoint, chiral_boundary_condition,
+from bagdet.calderon import (chiral_boundary_condition,
                              chiral_obstruction_witness, check_agmon_cone,
                              check_ellipticity, disk_boundary_condition,
                              disk_q_lambda, imaginary_axis_cone,
@@ -62,6 +62,40 @@ def test_q_principal_zero_xi_rejected():
     rep = make_rep_2d()
     with pytest.raises(DomainError):
         q_principal(rep, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+
+
+def _frames(rng, rep, count):
+    n = rng.normal(size=(count, rep.nu))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    xi = rng.normal(size=(count, rep.nu))
+    xi -= np.sum(xi * n, axis=-1, keepdims=True) * n
+    return n, xi
+
+
+def test_q_principal_stack_equals_scalar_calls():
+    rng = np.random.default_rng(37)
+    for rep in (make_rep_2d(), make_rep_4d_boundary()):
+        n, xi = _frames(rng, rep, 40)
+        stacked = q_principal(rep, n, xi)
+        assert stacked.shape == (40, rep.k, rep.k)
+        for j in range(40):
+            assert np.allclose(stacked[j], q_principal(rep, n[j], xi[j]),
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("message", ["nonzero", "unit", "orthogonal"])
+def test_q_principal_one_bad_row_rejects_the_batch(message):
+    rep = make_rep_2d()
+    n, xi = _frames(np.random.default_rng(41), rep, 12)
+    assert q_principal(rep, n, xi).shape == (12, 2, 2)
+    if message == "nonzero":
+        xi[7] = 0.0
+    elif message == "unit":
+        n[7] *= 1.5
+    else:
+        xi[7] += 0.1 * n[7]
+    with pytest.raises(DomainError, match=message):
+        q_principal(rep, n, xi)
 
 
 def test_disk_q_lambda_recovers_projectors_at_zero():
@@ -222,25 +256,19 @@ def test_rank_scalar_invariance():
 
 def test_agmon_imaginary_cone_passes_for_mit_bag():
     bc = disk_boundary_condition(1.0)
-    report = check_agmon_cone(bc, None, imaginary_axis_cone())
+    report = check_agmon_cone(bc, imaginary_axis_cone())
     assert report.condition1_passed and report.condition2_passed
 
 
 def test_agmon_real_axis_cone_fails_condition1():
     bc = disk_boundary_condition(1.0)
-    report = check_agmon_cone(bc, None, [(0.0, 0.3)])
+    report = check_agmon_cone(bc, [(0.0, 0.3)])
     assert not report.condition1_passed
     assert report.eigenvalue_witnesses
 
 
 def test_agmon_w_zero_fails_condition2():
     bc = disk_boundary_condition(0.0)
-    report = check_agmon_cone(bc, None, imaginary_axis_cone())
+    report = check_agmon_cone(bc, imaginary_axis_cone())
     assert not report.condition2_passed
     assert report.rank_witnesses
-
-
-def test_cotangent_point_nonzero():
-    assert CotangentPoint(xi=1.0, tau=0.0, lam=0.0).is_nonzero()
-    assert CotangentPoint(xi=0.0, tau=None, lam=0.3j).is_nonzero()
-    assert not CotangentPoint(xi=0.0, tau=0.0, lam=0.0).is_nonzero()

@@ -48,6 +48,19 @@ def test_sweep_boundary_column(tmp_path):
                        atol=1e-9)
 
 
+def test_imaginary_w_spellings_agree(tmp_path):
+    # w^2 = -1 for all four; the boundary term takes the principal branch
+    payloads = []
+    for w in ("1j", "-0+1j", "-1j", "0-1j"):
+        out = tmp_path / "det.json"
+        code = main(["--mode", "determinant", "--w=" + w, "--profile", "poly2",
+                     "--params", "1", "--out", str(out)])
+        assert code == 0
+        payloads.append(json.loads(out.read_text()))
+    assert all(p == payloads[0] for p in payloads)
+    assert payloads[0]["boundary_im"] == -np.pi
+
+
 def test_verify_zero_gauge_passes(tmp_path):
     out = tmp_path / "verify.json"
     code = main(["--mode", "verify", "--w", "1", "--profile", "poly2",

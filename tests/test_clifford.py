@@ -97,6 +97,17 @@ def test_slash_contraction():
     assert mats_close(slash(rep.gammas, v), expected, ATOL)
 
 
+def test_slash_stack_equals_scalar_calls():
+    rng = np.random.default_rng(3)
+    for rep in (make_rep_2d(), make_rep_4d_boundary()):
+        vectors = rng.normal(size=(5, 3, rep.nu))
+        stacked = slash(rep.gammas, vectors)
+        assert stacked.shape == (5, 3, rep.k, rep.k)
+        for idx in np.ndindex(5, 3):
+            assert np.allclose(stacked[idx], slash(rep.gammas, vectors[idx]),
+                               rtol=1e-14, atol=0)
+
+
 def test_mats_close_tolerance():
     a = np.eye(2)
     assert mats_close(a, a + 1e-13, 1e-12)

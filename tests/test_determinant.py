@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bagdet import determinant
 from bagdet.clifford import polar_gammas
 from bagdet.determinant import (ContourSpec, a_squared_integral,
                                 boundary_contour_oracle,
@@ -224,6 +225,42 @@ def test_residue_check_zero_gauge():
     out = residue_check(p)
     assert out["interior_max_norm"] == 0.0
     assert out["boundary_contraction_abs"] < 1e-30
+
+
+def test_residue_check_integrates_the_trace_once_per_xi(monkeypatch):
+    results = []
+    d_calls = []
+    adaptive = determinant.integrate_adaptive
+    d_tilde = determinant.d_tilde_minus1
+
+    def counting_adaptive(*args, **kwargs):
+        results.append(adaptive(*args, **kwargs))
+        return results[-1]
+
+    def counting_d_tilde(*args):
+        d_calls.append(args)
+        return d_tilde(*args)
+
+    monkeypatch.setattr(determinant, "integrate_adaptive", counting_adaptive)
+    monkeypatch.setattr(determinant, "d_tilde_minus1", counting_d_tilde)
+    out = residue_check(standard_problem(w=0.8, alpha=0.9))
+    assert len(results) == 2
+    assert 0 < len(d_calls) <= sum(r.nodes_used for r in results)
+    assert set(out) == {"interior_angular_norms", "interior_max_norm",
+                        "boundary_contraction_abs", "passed"}
+    assert out["passed"]
+
+
+@pytest.mark.parametrize("im", [1.0, 2.0, 0.5])
+def test_boundary_term_on_the_cut_depends_only_on_w_squared(im):
+    # purely imaginary w puts w^2 on the negative real axis: every spelling
+    # of +-w (signed zeros included) takes the principal branch, +i pi
+    spellings = [complex(0.0, im), complex(-0.0, im), complex(0.0, -im),
+                 complex(-0.0, -im), 1j * im, -1j * im]
+    values = [boundary_term(w, 4 * np.pi) for w in spellings]
+    assert all(v == values[0] for v in values)
+    assert values[0].imag == -np.pi
+    assert abs(values[0].real + np.log(im * im)) < 1e-15
 
 
 def test_boundary_term_from_symbol_trace():

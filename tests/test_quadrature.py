@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bagdet.errors import AccuracyError
-from bagdet.quadrature import (contour_closed, integrate_adaptive,
-                               integrate_gauss_legendre, j2_over_u_integral)
+from bagdet.quadrature import (circle_mean, contour_closed,
+                               integrate_adaptive, integrate_gauss_legendre,
+                               j2_over_u_integral)
 
 
 def test_rational_halfline_integral():
@@ -95,6 +96,31 @@ def test_gauss_legendre_polynomial_exactness():
                                    2.0, n=8)
     exact = (2.0 ** 8 - 1.0) / 8 - 2 * (2.0 ** 4 - 1.0) / 4 + 3.0
     assert abs(val - exact) < 1e-12
+
+
+def test_gauss_legendre_gets_all_nodes_in_one_call():
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.exp(x)
+
+    val = integrate_gauss_legendre(f, 0.0, 1.0, n=16)
+    assert calls == [(16,)]
+    assert abs(val - (np.e - 1.0)) < 1e-14
+
+
+def test_circle_mean_gets_all_angles_in_one_call():
+    calls = []
+
+    def f(phi):
+        calls.append(np.shape(phi))
+        c = np.cos(phi)
+        return np.stack([c ** 2, c ** 4, np.sin(3 * phi)], axis=-1)
+
+    mean = circle_mean(f, 64)
+    assert calls == [(64,)]
+    assert np.allclose(mean, [0.5, 0.375, 0.0], rtol=0, atol=1e-15)
 
 
 def test_j2_over_u_full_integral():

@@ -22,6 +22,7 @@ from bagdet.profiles import gaussian, poly2
 
 def _clear_caches():
     quadrature._gauss_legendre_rule.cache_clear()
+    quadrature._circle_angles.cache_clear()
     quadrature._j2_over_u.cache_clear()
     determinant._spectral_path.cache_clear()
 
@@ -29,7 +30,8 @@ def _clear_caches():
 def test_cached_arrays_are_read_only():
     rule = quadrature._gauss_legendre_rule(24)
     path = determinant._spectral_path(ContourSpec(), 1)
-    for arr in rule + path:
+    angles = quadrature._circle_angles(64)
+    for arr in rule + path + (angles,):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     nodes, weights = np.polynomial.legendre.leggauss(24)

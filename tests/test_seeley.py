@@ -309,7 +309,9 @@ def test_compose_free_operator():
 
 def test_m_coefficient_constant_symbol():
     const = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    avg = m_coefficient(lambda x, t, xi, tau, lam: const, 0.0, 0.1)
+    avg = m_coefficient(
+        lambda x, t, xi, tau, lam: np.broadcast_to(const, xi.shape + (2, 2)),
+        0.0, 0.1)
     assert np.allclose(avg, const, atol=1e-14)
 
 
@@ -359,3 +361,29 @@ def test_gauge_field_validation():
         GaugeField(phi=lambda r: r, dphi=lambda r: 1.0, R=-1.0)
     g = GaugeField(phi=lambda r: r ** 2, dphi=lambda r: 2.0 * r, R=2.0)
     assert g.a_theta(0.5) == -1.0
+
+
+def test_m_coefficient_makes_one_symbol_call():
+    calls = []
+
+    def ev(x, t, xi, tau, lam):
+        calls.append(np.shape(xi))
+        return c_minus1(REP, xi, tau, lam + 0.4, theta=x)
+
+    avg = m_coefficient(ev, 0.3, 0.2, n_nodes=128)
+    assert calls == [(128,)]
+    phis = 2 * np.pi * np.arange(128) / 128
+    loop = sum(c_minus1(REP, np.cos(p), np.sin(p), 0.4, theta=0.3)
+               for p in phis) / 128
+    assert np.allclose(avg, loop, rtol=1e-14, atol=1e-15)
+    # (xislash - lam)/(lam^2 - 1) averages to -lam/(lam^2 - 1) Id
+    assert np.allclose(avg, 0.4 / 0.84 * np.eye(2), rtol=1e-14, atol=1e-15)
+
+
+def test_m_coefficient_of_a0_is_a0():
+    gauge = GaugeField(phi=lambda r: 1.0 - r ** 3, dphi=lambda r: -3.0 * r ** 2,
+                       R=1.0)
+    sym = a0_symbol(REP, gauge, 0.8)
+    assert sym.eval(0.3, 0.2, np.zeros(5), np.ones(5), 0.0).shape == (5, 2, 2)
+    assert np.allclose(m_coefficient(sym, 0.3, 0.2),
+                       sym.eval(0.3, 0.2, 1.0, 0.0, 0.0), rtol=1e-14, atol=0)
