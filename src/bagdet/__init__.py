@@ -21,7 +21,6 @@ from .errors import (
     BranchError,
     ContourError,
     DomainError,
-    NonEllipticError,
     SingularityError,
     SingularSymbolError,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "BranchError",
     "ContourError",
     "DomainError",
-    "NonEllipticError",
     "SingularityError",
     "SingularSymbolError",
     "__version__",

@@ -261,8 +261,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     if cfg.sweep_spec is None:
         raise ValueError("sweep mode needs --sweep name=v1,v2,...")
     name, values = cfg.sweep_spec
-    rows = [[name, "bulk", "boundary_re", "boundary_im", "total_re",
-             "total_im", "flux"]]
+    rows = [[name, *determinant.CSV_FIELDS]]
     for v in values:
         radius = cfg.radius
         w = cfg.w
@@ -320,9 +319,10 @@ def _verify_checks(cfg: RunConfig):
     rng = np.random.default_rng(2024)
     checks = []
 
-    theta, xi = np.array([(rng.uniform(0, 2 * np.pi),
-                           rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
-                          for _ in range(200)]).T
+    theta, xi = np.array([
+        (rng.uniform(0, 2 * np.pi),
+         (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(0.5, 3.0))
+        for _ in range(200)]).T
     n = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     tangent = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
     q = calderon.q_principal(rep, n, xi[:, None] * tangent)
@@ -334,7 +334,7 @@ def _verify_checks(cfg: RunConfig):
     worst = 0.0
     for _ in range(12):
         theta = rng.uniform(0, 2 * np.pi)
-        xi = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        xi = (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(0.5, 2.0)
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         closed = calderon.disk_q_lambda(theta, xi, lam)
         contour = calderon.q_lambda_contour(a1, theta, xi, lam)
@@ -345,7 +345,7 @@ def _verify_checks(cfg: RunConfig):
     for _ in range(20):
         theta = rng.uniform(0, 2 * np.pi)
         t, u = rng.uniform(0.05, 1.0, size=2)
-        xi = rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 2.0)
+        xi = (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(0.6, 2.0)
         lam = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         try:
             closed = seeley.d_tilde_minus1(theta, t, u, xi, lam, problem.w)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .clifford import make_rep_2d, polar_gammas
 from .errors import AccuracyError, BranchError, ContourError, DomainError
-from .greens import DiskProblem, PlanePoint, disk_green
+from .greens import DiskProblem, diagonal_singularity_coefficient
 from .quadrature import (QuadratureResult, circle_mean, gauss_legendre_panel,
                          integrate_adaptive, integrate_gauss_legendre,
                          j2_over_u_integral)
@@ -510,7 +510,9 @@ def singularity_cancellation_check(p: DiskProblem, radii=(0.3, 0.5, 0.7),
                                    delta0: float = 1e-2, levels: int = 3) -> dict:
     """Pole coefficient of tr(A_theta gamma_theta G_B) at merging angles.
 
-    Richardson-extrapolates delta * tr(...) and compares with the interior
+    Contracts the Richardson estimate of
+    :func:`~bagdet.greens.diagonal_singularity_coefficient` with
+    A_theta gamma_theta and compares the trace with the interior
     counterterm coefficient A_theta/(pi i r); their equality is what makes
     the first two contributions to dW/dalpha cancel.
     """
@@ -523,18 +525,12 @@ def singularity_cancellation_check(p: DiskProblem, radii=(0.3, 0.5, 0.7),
         a_th = p.gauge.a_theta(r)
         if a_th == 0.0:
             continue
-        seq = []
-        d = delta0
-        for _ in range(levels + 1):
-            g = disk_green(p, PlanePoint(r, theta0),
-                           PlanePoint(r, theta0 - d))
-            seq.append(d * np.trace(a_th * g_theta @ g))
-            d *= 0.5
-        for _ in range(levels):
-            seq = [2.0 * seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
+        estimate, _, _ = diagonal_singularity_coefficient(
+            p, r, theta0, delta0=delta0, levels=levels)
+        coefficient = np.trace(a_th * g_theta @ estimate)
         target = a_th / (1j * np.pi * r)
-        rel = abs(seq[0] - target) / abs(target)
-        entries.append({"r": r, "coefficient": complex(seq[0]),
+        rel = abs(coefficient - target) / abs(target)
+        entries.append({"r": r, "coefficient": complex(coefficient),
                         "target": complex(target), "rel_err": float(rel)})
         worst = max(worst, float(rel))
     return {"entries": entries, "max_rel_err": worst}

@@ -21,10 +21,6 @@ class SingularityError(DomainError):
     """Evaluation requested on (or too close to) a kernel singularity."""
 
 
-class NonEllipticError(DomainError):
-    """Boundary data that fails the ellipticity rank condition (e.g. w = 0)."""
-
-
 class ContourError(BagdetError):
     """An integration contour passes too close to a pole or branch point."""
 

@@ -13,6 +13,14 @@ on |x| = R.  In complex notation X = r e^{i theta}, Y = rho e^{i phi}:
          R e^{-a(phi(r)+phi(rho)-2 phi(R))} / (w (X Y* - R^2)*) ]]
 
 with a the coupling alpha.
+
+``disk_green`` broadcasts: the ``r``/``theta`` of both ``PlanePoint``s
+may be arrays that broadcast together (every profile's ``phi``/``dphi``
+takes arrays), the result is a ``(..., 2, 2)`` stack, one ``(2, 2)`` for
+scalars, and one bad pair raises for the whole batch.
+``random_boundary_samples`` gives ``(theta_x, y)``, an angle array and a
+``PlanePoint`` of arrays, for one ``boundary_residual`` call.
+``image_decomposition`` and ``free_green`` stay scalar as its references.
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ _COINCIDENCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PlanePoint:
-    """Point of the plane in polar coordinates."""
+    """Point of the plane in polar coordinates; ``r`` and ``theta`` may
+    be arrays that broadcast together, describing a stack of points."""
 
     r: float
     theta: float
@@ -63,7 +72,7 @@ class PlanePoint:
 
     @classmethod
     def from_xy(cls, x0: float, x1: float) -> "PlanePoint":
-        return cls(r=float(np.hypot(x0, x1)), theta=float(np.arctan2(x1, x0)))
+        return cls(r=np.hypot(x0, x1), theta=np.arctan2(x1, x0))
 
 
 @dataclass(frozen=True)
@@ -114,15 +123,17 @@ def free_green(x: PlanePoint, y: PlanePoint) -> np.ndarray:
 
 
 def disk_green(p: DiskProblem, x: PlanePoint, y: PlanePoint) -> np.ndarray:
-    """Green function of the coupled operator under the bag condition."""
-    if x.r > p.R * (1 + 1e-12) or y.r > p.R * (1 + 1e-12):
+    """Green function of the coupled operator under the bag condition, as
+    one (2, 2) matrix or a (..., 2, 2) stack over broadcast points."""
+    edge = p.R * (1 + 1e-12)
+    if np.any(x.r > edge) or np.any(y.r > edge):
         raise DomainError("points must lie in the closed disk")
     X, Y = x.X, y.X
     dX = X - Y
-    if abs(dX) < _COINCIDENCE_TOL * p.R:
+    if np.any(np.abs(dX) < _COINCIDENCE_TOL * p.R):
         raise SingularityError("Green function evaluated at coincident points")
     img = X * np.conj(Y) - p.R ** 2
-    if abs(img) < _COINCIDENCE_TOL * p.R ** 2:
+    if np.any(np.abs(img) < _COINCIDENCE_TOL * p.R ** 2):
         raise SingularityError(
             "image denominator X Y* - R^2 vanishes (both points on the "
             "boundary at the same angle)")
@@ -135,7 +146,8 @@ def disk_green(p: DiskProblem, x: PlanePoint, y: PlanePoint) -> np.ndarray:
     g12 = np.exp(a * (ph_x - ph_y)) / dX
     g21 = np.exp(-a * (ph_x - ph_y)) / np.conj(dX)
     g22 = p.R * np.exp(-a * (ph_x + ph_y - 2.0 * ph_R)) / (p.w * np.conj(img))
-    return pref * np.array([[g11, g12], [g21, g22]], dtype=complex)
+    return pref * np.stack([np.stack([g11, g12], axis=-1),
+                            np.stack([g21, g22], axis=-1)], axis=-2)
 
 
 def image_decomposition(p: DiskProblem, x: PlanePoint, y: PlanePoint) -> np.ndarray:
@@ -166,28 +178,23 @@ def image_decomposition(p: DiskProblem, x: PlanePoint, y: PlanePoint) -> np.ndar
 def boundary_residual(p: DiskProblem, samples) -> float:
     """Largest norm of (1, w e^{-i theta}) G_B(x, .) over boundary samples.
 
-    ``samples`` is a sequence of (theta_x, y) pairs with y an interior
-    PlanePoint; x is taken on |x| = R at angle theta_x.
+    ``samples`` is a pair (theta_x, y) of an angle array and a PlanePoint
+    of interior points, as returned by :func:`random_boundary_samples`;
+    x is taken on |x| = R at angle theta_x.
     """
-    worst = 0.0
-    for theta_x, y in samples:
-        x = PlanePoint(r=p.R, theta=theta_x)
-        row = np.array([1.0, p.w * np.exp(-1j * theta_x)], dtype=complex)
-        g = disk_green(p, x, y)
-        worst = max(worst, float(np.max(np.abs(row @ g))))
-    return worst
+    theta_x, y = samples
+    g = disk_green(p, PlanePoint(r=p.R, theta=theta_x), y)
+    row = g[..., 0, :] + (p.w * np.exp(-1j * theta_x))[..., None] * g[..., 1, :]
+    return float(np.max(np.abs(row), initial=0.0))
 
 
 def random_boundary_samples(p: DiskProblem, n: int, seed: int = 0):
-    """n random (theta_x, interior y) pairs, reproducible by seed."""
+    """n random boundary angles theta_x and interior points y, reproducible
+    by seed, as the pair (theta_x, y) with y a PlanePoint of arrays."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        theta_x = rng.uniform(0.0, 2 * np.pi)
-        y = PlanePoint(r=p.R * rng.uniform(0.05, 0.9),
-                       theta=rng.uniform(0.0, 2 * np.pi))
-        out.append((theta_x, y))
-    return out
+    theta_x, frac, theta_y = rng.uniform(
+        [0.0, 0.05, 0.0], [2 * np.pi, 0.9, 2 * np.pi], size=(n, 3)).T
+    return theta_x, PlanePoint(r=p.R * frac, theta=theta_y)
 
 
 def gauge_vector(gauge: GaugeField, x: PlanePoint):
@@ -211,17 +218,12 @@ def pde_residual(p: DiskProblem, x: PlanePoint, y: PlanePoint,
     if h is None:
         h = 1e-4 * p.R
     x0, x1 = x.xy
-
-    def g_at(a0: float, a1: float) -> np.ndarray:
-        return disk_green(p, PlanePoint.from_xy(a0, a1), y)
-
-    def d4(fm2, fm1, fp1, fp2):
-        return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-
-    d0 = d4(g_at(x0 - 2 * h, x1), g_at(x0 - h, x1),
-            g_at(x0 + h, x1), g_at(x0 + 2 * h, x1))
-    d1 = d4(g_at(x0, x1 - 2 * h), g_at(x0, x1 - h),
-            g_at(x0, x1 + h), g_at(x0, x1 + 2 * h))
+    steps = h * np.array([-2.0, -1.0, 1.0, 2.0])
+    # four nodes along x0, then four along x1
+    stencil = PlanePoint.from_xy(np.r_[x0 + steps, np.full(4, x0)],
+                                 np.r_[np.full(4, x1), x1 + steps])
+    f = disk_green(p, stencil, y).reshape(2, 4, 2, 2)
+    d0, d1 = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * h)
     g0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     g1 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
     a0c, a1c = gauge_vector(p.gauge, x)
@@ -284,14 +286,11 @@ def diagonal_singularity_coefficient(p: DiskProblem, r: float, theta: float,
     -------
     (estimate, target, rel_err)
     """
-    seq = []
-    d = delta0
-    for _ in range(levels + 1):
-        y = PlanePoint(r=r, theta=theta - d)
-        seq.append(d * disk_green(p, PlanePoint(r=r, theta=theta), y))
-        d *= 0.5
+    d = delta0 * 0.5 ** np.arange(levels + 1)
+    seq = d[:, None, None] * disk_green(p, PlanePoint(r=r, theta=theta),
+                                        PlanePoint(r=r, theta=theta - d))
     for _ in range(levels):
-        seq = [2.0 * seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
+        seq = 2.0 * seq[1:] - seq[:-1]
     estimate = seq[0]
     _, g_theta = polar_gammas(theta)
     target = g_theta / (2j * np.pi * r)

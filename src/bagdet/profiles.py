@@ -2,7 +2,8 @@
 
 Each factory returns a :class:`~bagdet.seeley.GaugeField` carrying the
 profile and its exact derivative; the flux therefore needs no numerical
-differentiation.
+differentiation.  Every ``phi`` and ``dphi`` takes a scalar or an array
+of radii.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ def poly2(phi0: float, R: float) -> GaugeField:
 
 def gaussian(phi0: float, s: float, R: float) -> GaugeField:
     """phi(r) = phi0 exp(-r^2/s^2)."""
-    if s <= 0:
-        raise ValueError("gaussian width must be positive")
+    if s <= 0 or not 0.0 < s * s < math.inf:
+        raise DomainError(f"gaussian width {s} is not positive or its "
+                          "square under- or overflows")
     return GaugeField(
         phi=lambda r: phi0 * np.exp(-r ** 2 / s ** 2),
         dphi=lambda r: -2.0 * phi0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2),
@@ -38,10 +40,7 @@ def gaussian(phi0: float, s: float, R: float) -> GaugeField:
 def polynomial(coeffs, R: float) -> GaugeField:
     """phi(r) = sum_k c_k r^k with user coefficients (low order first)."""
     poly = np.polynomial.Polynomial(list(coeffs))
-    dpoly = poly.deriv()
-    return GaugeField(phi=lambda r: float(poly(r)),
-                      dphi=lambda r: float(dpoly(r)),
-                      R=R, name="polynomial")
+    return GaugeField(phi=poly, dphi=poly.deriv(), R=R, name="polynomial")
 
 
 def make_profile(name: str, params, R: float) -> GaugeField:

@@ -21,6 +21,7 @@ covers every node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import special as _spec
 
 from .clifford import GammaRep, gamma_t, polar_gammas
-from .errors import BranchError, SingularSymbolError
+from .errors import BranchError, DomainError, SingularSymbolError
 from .quadrature import circle_mean, contour_closed, integrate_adaptive
 
 __all__ = [
@@ -61,7 +62,8 @@ class GaugeField:
     The potential is fixed by a single smooth function phi(r):
     A_r = 0 and A_theta(r) = -phi'(r), so the total flux is
     -2 pi R phi'(R).  Both phi and its analytic derivative must be
-    supplied; nothing here differentiates numerically.
+    supplied, each taking a scalar or an array of radii; nothing here
+    differentiates numerically.
     """
 
     phi: Callable[[float], float]
@@ -70,8 +72,9 @@ class GaugeField:
     name: str = ""
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("disk radius must be positive")
+        if self.R <= 0 or not 0.0 < self.R * self.R < math.inf:
+            raise DomainError(f"disk radius {self.R} is not positive or "
+                              "its square under- or overflows")
 
     def a_theta(self, r):
         return -self.dphi(r)

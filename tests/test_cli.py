@@ -102,8 +102,21 @@ def test_domain_error_exit_code():
     ["--w", "1e200"],                     # w^2 overflows
     ["--alpha", "nan"],
     ["--mode", "sweep", "--sweep", "w=1,nan"],
+    ["--radius", "1e-200"],               # R^2 underflows to 0
+    ["--radius", "1e200"],                # R^2 overflows
+    ["--mode", "sweep", "--sweep", "radius=1,1e200"],
 ])
 def test_non_finite_or_overflowing_input_exit_code(flags):
+    assert main(["--mode", "determinant"] + flags) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--radius", "0"],
+    ["--radius", "-1"],
+    ["--profile", "gaussian", "--params", "1,0"],
+    ["--profile", "gaussian", "--params", "1,-1"],
+])
+def test_non_positive_radius_or_width_exit_code(flags):
     assert main(["--mode", "determinant"] + flags) == 3
 
 
@@ -113,6 +126,8 @@ def test_non_finite_or_overflowing_input_exit_code(flags):
     ["--profile", "gaussian", "--params", "1,inf"],
     ["--profile", "polynomial", "--params", "1,-inf,2"],
     ["--mode", "sweep", "--sweep", "phi0=1,nan"],
+    ["--profile", "gaussian", "--params", "1,1e-200"],   # s^2 underflows
+    ["--profile", "gaussian", "--params", "1,1e200"],    # s^2 overflows
 ])
 def test_non_finite_profile_parameter_exit_code(flags):
     with warnings.catch_warnings(record=True) as caught:

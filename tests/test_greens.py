@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bagdet import determinant, greens
+from bagdet.clifford import polar_gammas
 from bagdet.errors import DomainError, SingularityError
 from bagdet.greens import (DiskProblem, PlanePoint, boundary_residual,
                            diagonal_singularity_coefficient, disk_green,
                            free_green, gauge_vector, image_decomposition,
                            pde_residual, random_boundary_samples,
                            zero_mode_scan)
-from bagdet.profiles import gaussian, poly2, polynomial
+from bagdet.profiles import gaussian, make_profile, poly2, polynomial
+from bagdet.seeley import GaugeField
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 G0_MAT = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 G1_MAT = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -192,3 +199,184 @@ def test_plane_point_roundtrip():
     x = PlanePoint.from_xy(0.3, -0.4)
     assert abs(x.r - 0.5) < 1e-15
     assert np.allclose(x.xy, [0.3, -0.4])
+
+
+BATCH_PROBLEMS = [
+    DiskProblem(R=1.0, w=0.7 - 0.4j, alpha=0.85, gauge=poly2(0.8, 1.0)),
+    DiskProblem(R=1.3, w=1.2 + 0.5j, alpha=0.6, gauge=gaussian(1.1, 0.6, 1.3)),
+    DiskProblem(R=1.5, w=-0.6 + 0.9j, alpha=1.0,
+                gauge=polynomial([0.3, 0.0, -0.5, 0.2], 1.5)),
+]
+
+
+@pytest.mark.parametrize("p", BATCH_PROBLEMS, ids=lambda p: p.gauge.name)
+def test_batched_disk_green_matches_scalar_calls(p):
+    rng = np.random.default_rng(31)
+    xr, xt = p.R * rng.uniform(0.05, 0.95, (3, 4)), rng.uniform(0, 6.3, (3, 4))
+    yr, yt = p.R * rng.uniform(0.05, 0.95, 4), rng.uniform(0, 6.3, 4)
+    got = disk_green(p, PlanePoint(xr, xt), PlanePoint(yr, yt))
+    assert got.shape == (3, 4, 2, 2)
+    for i, j in np.ndindex(3, 4):
+        ref = disk_green(p, PlanePoint(float(xr[i, j]), float(xt[i, j])),
+                         PlanePoint(float(yr[j]), float(yt[j])))
+        np.testing.assert_allclose(got[i, j], ref, rtol=1e-14, atol=0)
+    # a scalar x against a stack of y, with x on the boundary
+    got = disk_green(p, PlanePoint(p.R, 0.4), PlanePoint(yr, yt))
+    for j in range(4):
+        ref = disk_green(p, PlanePoint(p.R, 0.4),
+                         PlanePoint(float(yr[j]), float(yt[j])))
+        np.testing.assert_allclose(got[j], ref, rtol=1e-14, atol=0)
+    assert disk_green(p, PlanePoint(0.3, 0.1), PlanePoint(0.5, 2.0)).shape \
+        == (2, 2)
+
+
+@pytest.mark.parametrize("bad_x, bad_y, error", [
+    ((0.5, 1.0), (0.5, 1.0), SingularityError),           # coincident
+    ((1.0, 1.0), (1.0, 1.0 + 1e-12), SingularityError),   # image degenerate
+    ((1.5, 1.0), (0.5, 0.0), DomainError),                # outside the disk
+    ((0.5, 0.0), (1.5, 1.0), DomainError),
+])
+def test_one_bad_pair_raises_for_the_batch(bad_x, bad_y, error):
+    p = standard_problem()
+    xr, xt = np.array([0.2, 0.4, bad_x[0]]), np.array([0.1, 2.0, bad_x[1]])
+    yr, yt = np.array([0.6, 0.3, bad_y[0]]), np.array([3.0, 4.0, bad_y[1]])
+    disk_green(p, PlanePoint(xr[:2], xt[:2]), PlanePoint(yr[:2], yt[:2]))
+    with pytest.raises(error):
+        disk_green(p, PlanePoint(xr, xt), PlanePoint(yr, yt))
+
+
+def test_random_boundary_samples_are_the_per_sample_draws():
+    p = standard_problem(R=1.7)
+    theta_x, y = random_boundary_samples(p, 30, seed=9)
+    rng = np.random.default_rng(9)
+    for j in range(30):
+        assert theta_x[j] == rng.uniform(0.0, 2 * np.pi)
+        assert y.r[j] == p.R * rng.uniform(0.05, 0.9)
+        assert y.theta[j] == rng.uniform(0.0, 2 * np.pi)
+
+
+@pytest.fixture
+def green_calls(monkeypatch):
+    calls = []
+    inner = greens.disk_green
+
+    def counting(p, x, y):
+        calls.append(np.broadcast_shapes(np.shape(x.X), np.shape(y.X)))
+        return inner(p, x, y)
+
+    monkeypatch.setattr(greens, "disk_green", counting)
+    return calls
+
+
+def test_boundary_residual_makes_one_green_call(green_calls):
+    p = standard_problem(w=0.7 - 0.4j, alpha=0.85, phi0=0.8)
+    boundary_residual(p, random_boundary_samples(p, 50, seed=5))
+    assert green_calls == [(50,)]
+
+
+def test_pde_residual_makes_at_most_two_green_calls(green_calls):
+    p = standard_problem(w=0.6 + 0.2j, alpha=0.77, phi0=1.1)
+    pde_residual(p, PlanePoint(0.5, 0.3), PlanePoint(0.4, 2.5))
+    assert sorted(green_calls) == [(), (8,)]
+
+
+def test_singularity_coefficient_makes_one_green_call(green_calls):
+    p = standard_problem(w=0.9, alpha=0.6, phi0=0.7)
+    diagonal_singularity_coefficient(p, 0.5, 0.8, levels=3)
+    assert green_calls == [(4,)]
+    green_calls.clear()
+    determinant.singularity_cancellation_check(p, radii=(0.3, 0.5))
+    assert green_calls == [(4,), (4,)]
+
+
+def test_pde_residual_matches_scalar_stencil():
+    p = standard_problem(w=0.6 + 0.2j, alpha=0.77, phi0=1.1)
+    x, y, h = PlanePoint(0.45, 0.3), PlanePoint(0.6, 2.4), 1e-4
+    x0, x1 = x.xy
+
+    def g_at(a0, a1):
+        return disk_green(p, PlanePoint.from_xy(a0, a1), y)
+
+    def d4(fm2, fm1, fp1, fp2):
+        return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+
+    d0 = d4(g_at(x0 - 2 * h, x1), g_at(x0 - h, x1),
+            g_at(x0 + h, x1), g_at(x0 + 2 * h, x1))
+    d1 = d4(g_at(x0, x1 - 2 * h), g_at(x0, x1 - h),
+            g_at(x0, x1 + h), g_at(x0, x1 + 2 * h))
+    a0c, a1c = gauge_vector(p.gauge, x)
+    ref = float(np.max(np.abs(1j * (G0_MAT @ d0 + G1_MAT @ d1)
+                              + p.alpha * (a0c * G0_MAT + a1c * G1_MAT)
+                              @ disk_green(p, x, y))))
+    assert abs(pde_residual(p, x, y, h=h) - ref) <= 1e-12
+
+
+def test_singularity_cancellation_matches_scalar_richardson():
+    p = standard_problem(w=0.9, alpha=0.6, phi0=0.7)
+    theta0, delta0, levels = 0.7, 1e-2, 3
+    _, g_theta = polar_gammas(theta0)
+    out = determinant.singularity_cancellation_check(p)
+    for entry in out["entries"]:
+        r = entry["r"]
+        a_th = p.gauge.a_theta(r)
+        seq = [d * np.trace(a_th * g_theta @ disk_green(
+            p, PlanePoint(r, theta0), PlanePoint(r, theta0 - d)))
+            for d in delta0 * 0.5 ** np.arange(levels + 1)]
+        for _ in range(levels):
+            seq = [2.0 * seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
+        assert abs(entry["coefficient"] - seq[0]) <= 1e-14 * abs(seq[0])
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, 1e-200, 1e200, float("nan")])
+def test_gauge_field_rejects_out_of_range_radius(R):
+    with pytest.raises(DomainError):
+        GaugeField(phi=np.sin, dphi=np.cos, R=R)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, 1e-200, 1e200])
+def test_gaussian_rejects_out_of_range_width(s):
+    with pytest.raises(DomainError):
+        gaussian(1.0, s, 1.0)
+
+
+@st.composite
+def admissible_problems(draw):
+    def fl(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    R = fl(0.5, 2.0)
+    name = draw(st.sampled_from(["poly2", "gaussian", "polynomial"]))
+    params = {"poly2": lambda: [fl(-2.0, 2.0)],
+              "gaussian": lambda: [fl(-2.0, 2.0), fl(0.3, 2.0)],
+              "polynomial": lambda: [fl(-1.0, 1.0) for _ in range(4)]}[name]()
+    w = complex(fl(0.2, 5.0) * np.exp(1j * fl(-np.pi, np.pi)))
+    return DiskProblem(R=R, w=w, alpha=fl(0.0, 1.0),
+                       gauge=make_profile(name, params, R))
+
+
+@PROPERTY
+@given(p=admissible_problems(), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_boundary_residual_small(p, seed):
+    assert boundary_residual(p, random_boundary_samples(p, 50, seed)) <= 1e-10
+
+
+@PROPERTY
+@given(coeffs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5),
+       shift=st.floats(-5.0, 5.0), alpha=st.floats(0.0, 1.0),
+       w=st.complex_numbers(min_magnitude=0.2, max_magnitude=5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_property_disk_green_gauge_shift_invariant(coeffs, shift, alpha, w,
+                                                   seed):
+    # phi -> phi + c leaves A = eps d phi unchanged, and G_B only sees
+    # differences of phi values
+    R = 1.2
+    shifted = [coeffs[0] + shift] + coeffs[1:]
+    p = DiskProblem(R=R, w=w, alpha=alpha, gauge=polynomial(coeffs, R))
+    q = DiskProblem(R=R, w=w, alpha=alpha, gauge=polynomial(shifted, R))
+    rng = np.random.default_rng(seed)
+    x = PlanePoint(R * rng.uniform(0.0, 1.0, 16), rng.uniform(0, 6.3, 16))
+    y = PlanePoint(R * rng.uniform(0.0, 0.9, 16), rng.uniform(0, 6.3, 16))
+    assume(np.min(np.abs(x.X - y.X)) >= 1e-3 * R)
+    a, b = disk_green(p, x, y), disk_green(q, x, y)
+    scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+    assert np.max(np.abs(a - b) / scale) <= 1e-12
