@@ -114,10 +114,11 @@ def q_principal(rep: GammaRep, n, xi) -> np.ndarray:
                   @ slash(rep.gammas, n))
 
 
-def _riesz_projector_contour(a_mat: np.ndarray, circle=None, n_nodes: int = 256,
-                             tol: float = 1e-8) -> np.ndarray:
+def _riesz_projector_contour(a_mat: np.ndarray, circle=None) -> np.ndarray:
     """Clockwise Riesz integral (1/2 pi i) oint (A - z)^{-1} dz around the
-    eigenvalues of A with Im < 0."""
+    eigenvalues of A with Im < 0, by the periodic trapezoid rule on 256
+    nodes.  Raises ContourError if an eigenvalue lies within 1e-8 x radius
+    of the circle."""
     eigs = np.linalg.eigvals(a_mat)
     selected = eigs[eigs.imag < 0.0]
     excluded = eigs[eigs.imag >= 0.0]
@@ -137,9 +138,9 @@ def _riesz_projector_contour(a_mat: np.ndarray, circle=None, n_nodes: int = 256,
     else:
         center, radius = circle
     dists = np.abs(np.abs(eigs - center) - radius)
-    if np.min(dists) < tol * radius:
+    if np.min(dists) < 1e-8 * radius:
         raise ContourError(
-            f"eigenvalue within {tol:g} x radius of the contour; "
+            "eigenvalue within 1e-08 x radius of the contour; "
             "adjust the circle")
     eye = np.eye(a_mat.shape[0], dtype=complex)
 
@@ -147,22 +148,22 @@ def _riesz_projector_contour(a_mat: np.ndarray, circle=None, n_nodes: int = 256,
         return np.linalg.solve(a_mat - z[:, None, None] * eye, eye)
 
     return contour_closed(resolvent, center, radius, orientation=-1,
-                          n=n_nodes) / (2j * np.pi)
+                          n=256) / (2j * np.pi)
 
 
-def q_lambda_contour(a1, x, xi, lam: complex, circle=None,
-                     n_nodes: int = 256) -> np.ndarray:
+def q_lambda_contour(a1, x, xi, lam: complex, circle=None) -> np.ndarray:
     """Spectral-parameter projector symbol by numerical contour quadrature.
 
     ``a1`` is the degree-one symbol, called as ``a1(x, t, xi, tau, lam)``
     (a SymbolFn works).  The integrand matrix is
     ``a1(x,0;0,1;0)^{-1} a1(x,0;xi,0;lam)`` and the contour is a clockwise
-    circle around its eigenvalues with negative imaginary part.
+    circle around its eigenvalues with negative imaginary part, integrated
+    on 256 nodes.
     """
     eval_a1 = getattr(a1, "eval", a1)
     normal = np.linalg.inv(eval_a1(x, 0.0, 0.0, 1.0, 0.0))
     a_mat = normal @ eval_a1(x, 0.0, xi, 0.0, lam)
-    return _riesz_projector_contour(a_mat, circle=circle, n_nodes=n_nodes)
+    return _riesz_projector_contour(a_mat, circle=circle)
 
 
 def disk_q_lambda(theta: float, xi: float, lam: complex) -> np.ndarray:
@@ -219,9 +220,9 @@ def chiral_obstruction_witness(beta1: complex, beta2: complex) -> np.ndarray:
     return xi.real
 
 
-def numerical_rank(m: np.ndarray, scale: float | None = None,
-                   rel_tol: float = RANK_REL_TOL) -> int:
-    """Rank by singular values against a threshold tied to a problem scale.
+def numerical_rank(m: np.ndarray, scale: float | None = None) -> int:
+    """Rank by singular values against a threshold tied to a problem scale:
+    the number of singular values above RANK_REL_TOL (1e-9) x scale.
 
     ``scale`` should be the product of the norms of the factors whose
     product ``m`` is (so that an analytically-zero product of O(1) factors
@@ -233,7 +234,7 @@ def numerical_rank(m: np.ndarray, scale: float | None = None,
     ref = float(scale) if scale is not None else float(svals[0])
     if ref == 0.0:
         return 0
-    return int(np.count_nonzero(svals > rel_tol * ref))
+    return int(np.count_nonzero(svals > RANK_REL_TOL * ref))
 
 
 def _matrix_scale(m: np.ndarray) -> float:
@@ -263,24 +264,24 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def check_ellipticity(bc: BoundaryCondition, q_fn, samples: Sequence,
-                      rank_rel_tol: float = RANK_REL_TOL) -> EllipticityReport:
+def check_ellipticity(bc: BoundaryCondition, q_fn,
+                      samples: Sequence) -> EllipticityReport:
     """Rank test rank(b(x;xi) q(x;xi)) = rank(q(x;xi)) over samples.
 
     ``q_fn(x, xi)`` returns the projector symbol; samples are (x, xi)
     pairs with |xi| >= 1.  Ranks use the scale of the factors, so an
-    exactly-degenerate product reports a reduced rank.
+    exactly-degenerate product reports a reduced rank; the report records
+    the relative threshold RANK_REL_TOL.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    report = EllipticityReport(rank_rel_tol=rank_rel_tol)
+    report = EllipticityReport(rank_rel_tol=RANK_REL_TOL)
     for x, xi in samples:
         q = np.asarray(q_fn(x, xi), dtype=complex)
         b = np.asarray(bc.b(x, xi), dtype=complex)
         bq = b @ q
-        rank_q = numerical_rank(q, rel_tol=rank_rel_tol)
-        rank_bq = numerical_rank(bq, scale=_matrix_scale(b) * _matrix_scale(q),
-                                 rel_tol=rank_rel_tol)
+        rank_q = numerical_rank(q)
+        rank_bq = numerical_rank(bq, scale=_matrix_scale(b) * _matrix_scale(q))
         ok = rank_bq == rank_q
         report.entries.append({
             "x": x if np.isscalar(x) else np.asarray(x).tolist(),
@@ -293,9 +294,9 @@ def check_ellipticity(bc: BoundaryCondition, q_fn, samples: Sequence,
     return report
 
 
-def imaginary_axis_cone(half_width: float = 0.35):
-    """Two sectors around the +i and -i directions."""
-    return [(np.pi / 2, half_width), (-np.pi / 2, half_width)]
+def imaginary_axis_cone():
+    """Two sectors of half-width 0.35 around the +i and -i directions."""
+    return [(np.pi / 2, 0.35), (-np.pi / 2, 0.35)]
 
 
 def _angle_in_sector(angle: float, center: float, half_width: float) -> bool:
@@ -330,26 +331,22 @@ class AgmonConeReport:
         return json.dumps(asdict(self), default=_json_default, indent=2)
 
 
-def check_agmon_cone(bc: BoundaryCondition, sectors,
-                     xi_samples: Sequence[float] = (1.0, -1.0, 2.0, -2.0),
-                     n_interior: int = 32,
-                     lambda_radii: Sequence[float] = (0.5, 1.0, 2.0, 5.0),
-                     n_ray_angles: int = 9,
-                     rank_rel_tol: float = RANK_REL_TOL) -> AgmonConeReport:
+def check_agmon_cone(bc: BoundaryCondition, sectors) -> AgmonConeReport:
     """Sampled check of a spectral cone for the disk problem.
 
     Condition 1: no eigenvalue of the interior principal symbol (which are
-    +-|xi|, real) lies in the cone.  Condition 2: rank(b q(lambda)) equals
-    rank(q(lambda)) for sampled lambda in the cone (the lambda = 0 face is
-    included) and tangential |xi| >= 1.  A sampled check, not a proof; the
-    grids are recorded in the report.  The principal symbol family of
+    +-|xi|, real) lies in the cone, for 32 seeded covectors.  Condition 2:
+    rank(b q(lambda)) equals rank(q(lambda)) for sampled lambda in the
+    cone (the lambda = 0 face, and |lambda| = 0.5, 1, 2, 5 on 9 rays per
+    sector) and tangential xi = +-1, +-2.  A sampled check, not a proof;
+    the grids are recorded in the report.  The principal symbol family of
     the disk operator does not depend on the problem data, only the
     condition ``bc`` does.
     """
     rng = np.random.default_rng(7)
     cond1 = True
     eig_witnesses = []
-    for _ in range(n_interior):
+    for _ in range(32):
         xi_bar = rng.normal(size=2)
         norm = np.linalg.norm(xi_bar)
         if norm < 1e-12:
@@ -364,22 +361,22 @@ def check_agmon_cone(bc: BoundaryCondition, sectors,
     rank_witnesses = []
     lam_grid = [0.0]
     for center, half in sectors:
-        for ang in np.linspace(center - half, center + half, n_ray_angles):
-            for rho in lambda_radii:
+        for ang in np.linspace(center - half, center + half, 9):
+            for rho in (0.5, 1.0, 2.0, 5.0):
                 lam_grid.append(rho * np.exp(1j * ang))
     theta0 = 0.3
+    xi_grid = (1.0, -1.0, 2.0, -2.0)
     for lam in lam_grid:
-        for xi in xi_samples:
+        for xi in xi_grid:
             try:
                 q = disk_q_lambda(theta0, xi, lam)
             except SingularSymbolError:
                 continue
             b = np.asarray(bc.b(theta0, xi), dtype=complex)
             bq = b @ q
-            rank_q = numerical_rank(q, rel_tol=rank_rel_tol)
+            rank_q = numerical_rank(q)
             rank_bq = numerical_rank(
-                bq, scale=_matrix_scale(b) * _matrix_scale(q),
-                rel_tol=rank_rel_tol)
+                bq, scale=_matrix_scale(b) * _matrix_scale(q))
             if rank_bq != rank_q:
                 cond2 = False
                 rank_witnesses.append({
@@ -392,5 +389,5 @@ def check_agmon_cone(bc: BoundaryCondition, sectors,
         eigenvalue_witnesses=eig_witnesses,
         rank_witnesses=rank_witnesses,
         lambda_grid=[complex(v) for v in lam_grid],
-        xi_grid=list(xi_samples),
+        xi_grid=list(xi_grid),
     )

@@ -12,9 +12,11 @@ One executable, four modes:
 - ``sweep``: tabulate the determinant over a parameter grid as plot-ready
   CSV.
 
-Configuration comes from an optional key = value file plus flag
-overrides (flags win).  Exit codes: 0 ok, 1 usage error, 2 tolerance
-failure, 3 domain error (e.g. w = 0).
+Configuration comes from an optional key = value file, whose keys are
+the option names (``radius``, ``tol.pde_residual``, ...), plus flag
+overrides (flags win); one parser reads and checks both.  Exit codes:
+0 ok, 1 usage error (also an unknown key or an abbreviated flag),
+2 tolerance failure, 3 domain error (e.g. w = 0).
 """
 
 from __future__ import annotations
@@ -106,110 +108,93 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+def _one_of(options):
+    def convert(text: str) -> str:
+        if text not in options:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {text!r} (choose from {', '.join(options)})")
+        return text
+    return convert
+
+
+def _complex(text: str) -> complex:
+    return complex(text.replace(" ", ""))
+
+
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
 def _parse_sweep(text: str) -> tuple:
     if "=" not in text:
-        raise ValueError("sweep spec must look like name=v1,v2,...")
+        raise argparse.ArgumentTypeError(
+            "sweep spec must look like name=v1,v2,...")
     name, vals = text.split("=", 1)
     name = name.strip()
     if name not in ("w", "radius", "phi0"):
-        raise ValueError(f"cannot sweep {name!r}; choose w, radius or phi0")
-    values = [float(v) for v in vals.split(",") if v.strip()]
+        raise argparse.ArgumentTypeError(
+            f"cannot sweep {name!r}; choose w, radius or phi0")
+    values = _floats(vals)
     if not values:
-        raise ValueError("sweep grid is empty")
+        raise argparse.ArgumentTypeError("sweep grid is empty")
     return name, values
 
 
-def _extract_tol_flags(argv):
-    """Pull --tol.<name> flags out before argparse sees them."""
-    tols = {}
-    rest = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            body = arg[len("--tol."):]
-            if "=" in body:
-                name, val = body.split("=", 1)
-            else:
-                name = body
-                i += 1
-                if i >= len(argv):
-                    raise ValueError(f"--tol.{name} needs a value")
-                val = argv[i]
-            if name not in DEFAULT_TOLERANCES:
-                raise ValueError(f"unknown tolerance {name!r}")
-            tols[name] = float(val)
-        else:
-            rest.append(arg)
-        i += 1
-    return tols, rest
+# RunConfig field set by each option other than --w and --tol.<name>.
+_OPTION_FIELDS = {"radius": "radius", "profile": "profile",
+                  "params": "profile_params", "alpha": "alpha",
+                  "mode": "mode", "sweep": "sweep_spec",
+                  "out": "output_path", "format": "format"}
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bagdet", allow_abbrev=False,
+        description="Dirac-disk determinant under bag-like boundary "
+                    "conditions")
+    parser.add_argument("--config", help="key = value configuration file; "
+                                         "its keys are the option names")
+    parser.add_argument("--radius", type=float)
+    parser.add_argument("--w", type=_complex,
+                        help="bag parameter, complex accepted "
+                             "(e.g. 1, 0.5, 1+0.5j)")
+    parser.add_argument("--profile", type=_one_of(PROFILES))
+    parser.add_argument("--params", type=_floats,
+                        help="comma-separated profile parameters")
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--mode", type=_one_of(MODES))
+    parser.add_argument("--sweep", type=_parse_sweep,
+                        help="parameter grid, e.g. w=0.5,1,2")
+    parser.add_argument("--out", help="output file path")
+    parser.add_argument("--format", type=_one_of(("json", "csv")))
+    for name in DEFAULT_TOLERANCES:
+        parser.add_argument(f"--tol.{name}", type=float, metavar="TOL")
+    return parser
 
 
 def build_config(argv) -> RunConfig:
-    tols, argv = _extract_tol_flags(argv)
-    parser = argparse.ArgumentParser(
-        prog="bagdet",
-        description="Dirac-disk determinant under bag-like boundary "
-                    "conditions")
-    parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--radius", type=float)
-    parser.add_argument("--w", help="bag parameter, complex accepted "
-                                    "(e.g. 1, 0.5, 1+0.5j)")
-    parser.add_argument("--profile", choices=PROFILES)
-    parser.add_argument("--params", help="comma-separated profile parameters")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--sweep", help="parameter grid, e.g. w=0.5,1,2")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("json", "csv"))
+    """RunConfig from command-line flags and an optional --config file.
+
+    The file's keys are the option names without the leading dashes; its
+    values become the parser's defaults, so flags win and every value
+    goes through the same converter.
+    """
+    parser = _parser()
     args = parser.parse_args(argv)
-
-    cfg = RunConfig()
-    cfg.tolerances.update(tols)
-    file_vals = _parse_config_file(args.config) if args.config else {}
-
-    def pick(flag_val, key):
-        return flag_val if flag_val is not None else file_vals.get(key)
-
-    radius = pick(args.radius, "radius")
-    if radius is not None:
-        cfg.radius = float(radius)
-    w = pick(args.w, "w")
-    if w is not None:
-        wc = complex(str(w).replace(" ", ""))
-        cfg.w_re, cfg.w_im = wc.real, wc.imag
-    profile = pick(args.profile, "profile")
-    if profile is not None:
-        cfg.profile = str(profile)
-    params = pick(args.params, "params")
-    if params is not None:
-        cfg.profile_params = [float(v) for v in str(params).split(",")
-                              if v.strip()]
-    alpha = pick(args.alpha, "alpha")
-    if alpha is not None:
-        cfg.alpha = float(alpha)
-    mode = pick(args.mode, "mode")
-    if mode is not None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        cfg.mode = str(mode)
-    sweep = pick(args.sweep, "sweep")
-    if sweep is not None:
-        cfg.sweep_spec = _parse_sweep(str(sweep))
-    out = pick(args.out, "out")
-    if out is not None:
-        cfg.output_path = str(out)
-    fmt = pick(args.format, "format")
-    if fmt is not None:
-        if fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {fmt!r}")
-        cfg.format = str(fmt)
-    for key, val in file_vals.items():
-        if key.startswith("tol."):
-            name = key[4:]
-            if name not in DEFAULT_TOLERANCES:
-                raise ValueError(f"unknown tolerance {name!r}")
-            cfg.tolerances.setdefault(name, float(val))
+    if args.config is not None:
+        file_vals = _parse_config_file(args.config)
+        unknown = sorted(file_vals.keys() - (vars(args).keys() - {"config"}))
+        if unknown:
+            parser.error(f"{args.config}: unknown keys {', '.join(unknown)}")
+        parser.set_defaults(**file_vals)
+        args = parser.parse_args(argv)
+    opts = vars(args)
+    cfg = RunConfig(**{fld: opts[key] for key, fld in _OPTION_FIELDS.items()
+                       if opts[key] is not None})
+    if args.w is not None:
+        cfg.w_re, cfg.w_im = args.w.real, args.w.imag
+    cfg.tolerances = {name: opts[f"tol.{name}"] for name in DEFAULT_TOLERANCES
+                      if opts[f"tol.{name}"] is not None}
     return cfg
 
 
@@ -275,9 +260,7 @@ def _run_sweep(cfg: RunConfig) -> int:
         gauge = make_profile(cfg.profile, params, radius)
         problem = DiskProblem(R=radius, w=w, alpha=cfg.alpha, gauge=gauge)
         r = determinant.ln_det_ratio(problem, run_oracles=False)
-        rows.append([v, r.bulk_term, r.boundary_term.real,
-                     r.boundary_term.imag, r.total.real, r.total.imag,
-                     r.flux])
+        rows.append([v, *r.values()])
     _write_csv(cfg.output_path, rows)
     print(f"swept {name} over {len(values)} values")
     return 0

@@ -64,18 +64,16 @@ class ContourSpec:
     clockwise circular detour of radius hypot(eps, mu0) around the origin.
 
     The rays run from height mu0 up to lambda_max; ray quadrature uses
-    Gauss-Legendre panels on geometrically growing segments, the detour a
-    single Gauss-Legendre rule in the angle.  The path must keep clear of
-    the branch points lambda = +-1 and of any poles +-i/u of the boundary
+    24-point Gauss-Legendre panels on segments that double in length, the
+    detour a single 96-point Gauss-Legendre rule in the angle (both node
+    counts double at refinement 2).  The path must keep clear of the
+    branch points lambda = +-1 and of any poles +-i/u of the boundary
     integrand.
     """
 
     eps: float = 0.1
     mu0: float = 0.2
     lambda_max: float = 1e8
-    n_seg: int = 24
-    n_arc: int = 96
-    seg_ratio: float = 2.0
 
     def __post_init__(self):
         if not 0 < self.eps < 0.5:
@@ -132,11 +130,11 @@ def _spectral_path(spec: ContourSpec, refine: int):
     per process and shared; the arrays are read-only.  One entry holds
     about 70 kB per unit of ``refine`` for the default spec.
     """
-    n_seg = spec.n_seg * refine
-    n_arc = spec.n_arc * refine
+    n_seg = 24 * refine
+    n_arc = 96 * refine
     breaks = [spec.mu0]
     while breaks[-1] < spec.lambda_max:
-        breaks.append(min(breaks[-1] * spec.seg_ratio, spec.lambda_max))
+        breaks.append(min(breaks[-1] * 2.0, spec.lambda_max))
     mus, wts = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         x, w = gauss_legendre_panel(a, b, n_seg)
@@ -198,30 +196,40 @@ def flux(gauge: GaugeField) -> float:
     return float(-2.0 * np.pi * gauge.R * gauge.dphi(gauge.R))
 
 
-def a_squared_integral(gauge: GaugeField, tol: float = 1e-11) -> QuadratureResult:
-    """int_disk A.A d^2x = 2 pi int_0^R A_theta(r)^2 r dr."""
-    res = integrate_adaptive(
-        lambda r: gauge.a_theta(r) ** 2 * r, 0.0, gauge.R, tol=tol)
-    return QuadratureResult(value=2.0 * np.pi * res.value,
+def a_squared_integral(gauge: GaugeField) -> QuadratureResult:
+    """int_disk A.A d^2x = 2 pi int_0^R A_theta(r)^2 r dr, by adaptive
+    quadrature to tolerance 1e-11.
+
+    Raises DomainError if A_theta^2 or the integral overflows.
+    """
+    try:
+        with np.errstate(over="raise"):
+            res = integrate_adaptive(
+                lambda r: gauge.a_theta(r) ** 2 * r, 0.0, gauge.R, tol=1e-11)
+    except (OverflowError, FloatingPointError) as exc:
+        raise DomainError(f"int A.A d^2x overflows: {exc}") from exc
+    value = 2.0 * np.pi * res.value
+    if not math.isfinite(value.real):
+        raise DomainError(f"int A.A d^2x overflows to {value}")
+    return QuadratureResult(value=value,
                             abs_error_estimate=2.0 * np.pi * res.abs_error_estimate,
                             nodes_used=res.nodes_used)
 
 
-def bulk_c2_term(gauge: GaugeField, alpha: float, tol: float = 1e-11) -> float:
-    """First bulk contribution -(alpha/2 pi) int A.A d^2x."""
-    return float(-alpha / (2.0 * np.pi) * a_squared_integral(gauge, tol).value.real)
+def bulk_c2_term(gauge: GaugeField, alpha: float) -> float:
+    """First bulk contribution -(alpha/2 pi) int A.A d^2x, with the integral
+    from :func:`a_squared_integral` (tolerance 1e-11)."""
+    return float(-alpha / (2.0 * np.pi) * a_squared_integral(gauge).value.real)
 
 
-def bulk_c2_bessel_oracle(gauge: GaugeField, alpha: float,
-                          split: float = 1e-3) -> float:
+def bulk_c2_bessel_oracle(gauge: GaugeField, alpha: float) -> float:
     """Bulk term through the point-split Bessel kernel.
 
-    Evaluates -(alpha/pi) int A.A d^2x * int_split^inf J_2(u)/u du at two
-    split values and Richardson-extrapolates the O(split^2) cutoff error
-    away.  Must converge to :func:`bulk_c2_term`.
+    Evaluates -(alpha/pi) int A.A d^2x * int_split^inf J_2(u)/u du at the
+    two split values 1e-3 and 5e-4 and Richardson-extrapolates the
+    O(split^2) cutoff error away.  Must converge to :func:`bulk_c2_term`.
     """
-    if split <= 0:
-        raise DomainError("split must be positive")
+    split = 1e-3
     b1 = j2_over_u_integral(split).value.real
     b2 = j2_over_u_integral(0.5 * split).value.real
     bessel_part = (4.0 * b2 - b1) / 3.0
@@ -236,8 +244,7 @@ def _angular_average_factor(lam: np.ndarray, n_ang: int) -> np.ndarray:
 
 
 def bulk_log_term(gauge: GaugeField, alpha: float,
-                  spec: ContourSpec | None = None, n_ang: int = 64,
-                  imag_tol: float = 1e-7) -> float:
+                  spec: ContourSpec | None = None, n_ang: int = 64) -> float:
     """Second bulk contribution, by spectral-contour quadrature.
 
     Evaluates
@@ -248,6 +255,8 @@ def bulk_log_term(gauge: GaugeField, alpha: float,
 
     with the angular integral done numerically on the unit covector
     circle.  Equals :func:`bulk_c2_term` (the two bulk routes agree).
+    Raises AccuracyError if the imaginary part of the result exceeds
+    1e-7 max(1, |real part|).
     """
     if spec is None:
         spec = ContourSpec()
@@ -260,7 +269,7 @@ def bulk_log_term(gauge: GaugeField, alpha: float,
     contour = gamma_log_contour(g, spec)
     asq = a_squared_integral(gauge).value.real
     value = -1j * alpha / (4.0 * np.pi ** 3) * asq * contour.value
-    if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
+    if abs(value.imag) > 1e-7 * max(1.0, abs(value.real)):
         raise AccuracyError(
             f"bulk contour term has spurious imaginary part {value.imag:g}",
             estimate=value)
@@ -300,9 +309,7 @@ def _sheet_root(w: complex) -> complex:
 
 
 def boundary_contour_oracle(w: complex, flux_value: float,
-                            spec: ContourSpec | None = None,
-                            route: str = "contour",
-                            tol: float = 1e-9) -> complex:
+                            route: str = "contour") -> complex:
     """Boundary contribution by independent quadrature.
 
     route="contour" evaluates
@@ -318,7 +325,9 @@ def boundary_contour_oracle(w: complex, flux_value: float,
                                    / (1 - u^2 mu^2) dmu,
 
     whose integrand is regular at mu = 1/|u| (the zero of the bracket
-    cancels the pole).  Both must match -(Phi/4 pi) ln w^2.
+    cancels the pole), by adaptive quadrature to tolerance 1e-9.  The
+    contour route uses ``ContourSpec.auto(1/|u|)``.  Both must match
+    -(Phi/4 pi) ln w^2.
     """
     w = complex(w)
     if w == 0:
@@ -339,20 +348,20 @@ def boundary_contour_oracle(w: complex, flux_value: float,
 
         if u.imag == 0.0:
             mu_star = 1.0 / abs(u.real)
-            head = integrate_adaptive(integrand, 0.0, 2.0 * mu_star, tol=tol,
+            head = integrate_adaptive(integrand, 0.0, 2.0 * mu_star, tol=1e-9,
                                       points=[mu_star])
-            tail = integrate_adaptive(integrand, 2.0 * mu_star, np.inf, tol=tol)
+            tail = integrate_adaptive(integrand, 2.0 * mu_star, np.inf,
+                                      tol=1e-9)
             total = head.value + tail.value
         else:
-            total = integrate_adaptive(integrand, 0.0, np.inf, tol=tol).value
+            total = integrate_adaptive(integrand, 0.0, np.inf, tol=1e-9).value
         return complex(-flux_value / (2.0 * np.pi) * u * total)
 
     if route == "contour":
         if w.imag != 0.0 or w.real <= 0.0:
             raise BranchError(
                 "contour route supports real w > 0; use route='real'")
-        if spec is None:
-            spec = ContourSpec.auto(pole_scale=1.0 / abs(u))
+        spec = ContourSpec.auto(pole_scale=1.0 / abs(u))
         # the pole on the positive imaginary axis is removable for real
         # w > 0 (the numerator vanishes there); only its mirror image and
         # the branch points constrain the path
@@ -368,7 +377,7 @@ def boundary_contour_oracle(w: complex, flux_value: float,
     raise ValueError(f"unknown route {route!r}")
 
 
-def dW_dalpha(p: DiskProblem, spec: ContourSpec | None = None) -> complex:
+def dW_dalpha(p: DiskProblem) -> complex:
     """Derivative of the log-determinant along the coupling family.
 
     Sum of the two bulk terms (each carrying a factor alpha) and the
@@ -382,7 +391,7 @@ def dW_dalpha(p: DiskProblem, spec: ContourSpec | None = None) -> complex:
     cancellation.
     """
     c2 = bulk_c2_term(p.gauge, p.alpha)
-    logt = bulk_log_term(p.gauge, p.alpha, spec=spec)
+    logt = bulk_log_term(p.gauge, p.alpha)
     bnd = boundary_term(p.w, flux(p.gauge))
     return c2 + logt + bnd
 
@@ -401,31 +410,27 @@ class DeterminantResult:
     flux: float
     diagnostics: dict = field(default_factory=dict)
 
+    def values(self) -> list:
+        """The result values named by CSV_FIELDS, in that order."""
+        return [self.bulk_term, self.boundary_term.real,
+                self.boundary_term.imag, self.total.real, self.total.imag,
+                self.flux]
+
     def to_json_dict(self) -> dict:
-        return {
-            "bulk": self.bulk_term,
-            "boundary_re": self.boundary_term.real,
-            "boundary_im": self.boundary_term.imag,
-            "total_re": self.total.real,
-            "total_im": self.total.imag,
-            "flux": self.flux,
-            "oracle_residuals": {k: v for k, v in
-                                 sorted(self.diagnostics.items())},
-        }
+        out = dict(zip(CSV_FIELDS, self.values()))
+        out["oracle_residuals"] = dict(sorted(self.diagnostics.items()))
+        return out
 
     def csv_header(self) -> list:
         return list(CSV_FIELDS) + [f"oracle_residuals.{k}"
                                    for k in sorted(self.diagnostics)]
 
     def csv_row(self) -> list:
-        base = [self.bulk_term, self.boundary_term.real,
-                self.boundary_term.imag, self.total.real, self.total.imag,
-                self.flux]
-        return base + [self.diagnostics[k] for k in sorted(self.diagnostics)]
+        return self.values() + [self.diagnostics[k]
+                                for k in sorted(self.diagnostics)]
 
 
-def ln_det_ratio(p: DiskProblem, spec: ContourSpec | None = None,
-                 run_oracles: bool = True, n_alpha: int = 16) -> DeterminantResult:
+def ln_det_ratio(p: DiskProblem, run_oracles: bool = True) -> DeterminantResult:
     """ln Det(coupled) - ln Det(free) under the bag condition.
 
     The coupling is integrated analytically over [0, 1]: the bulk terms
@@ -434,10 +439,11 @@ def ln_det_ratio(p: DiskProblem, spec: ContourSpec | None = None,
 
         total = -(1/2 pi) int A.A d^2x - (Phi/4 pi) ln w^2.
 
-    With ``run_oracles`` a Gauss-Legendre quadrature of dW/dalpha over the
-    coupling, the second-bulk contour route, the Bessel-kernel route and
-    (for admissible w) the boundary quadrature are all evaluated and their
-    residuals reported in ``diagnostics``.
+    With ``run_oracles`` a 16-point Gauss-Legendre quadrature of dW/dalpha
+    over the coupling, the second-bulk contour route on the default
+    :class:`ContourSpec`, the Bessel-kernel route and (for admissible w)
+    the boundary quadrature are all evaluated and their residuals reported
+    in ``diagnostics``.
     """
     asq = a_squared_integral(p.gauge)
     phi_flux = flux(p.gauge)
@@ -447,13 +453,13 @@ def ln_det_ratio(p: DiskProblem, spec: ContourSpec | None = None,
     diag = {"a_squared_abs_err": asq.abs_error_estimate}
     if run_oracles:
         c2_unit = bulk_c2_term(p.gauge, 1.0)
-        log_unit = bulk_log_term(p.gauge, 1.0, spec=spec)
+        log_unit = bulk_log_term(p.gauge, 1.0)
         ref = max(abs(c2_unit), 1e-14)
         diag["w4_vs_w3_rel"] = abs(log_unit - c2_unit) / ref
         diag["bulk_bessel_rel"] = abs(
             bulk_c2_bessel_oracle(p.gauge, 1.0) - c2_unit) / ref
         gl = integrate_gauss_legendre(
-            lambda a: a * (c2_unit + log_unit) + bnd, 0.0, 1.0, n=n_alpha)
+            lambda a: a * (c2_unit + log_unit) + bnd, 0.0, 1.0, n=16)
         diag["alpha_quadrature_residual"] = abs(gl - total)
         try:
             oracle = boundary_contour_oracle(p.w, phi_flux, route="real")
@@ -465,27 +471,27 @@ def ln_det_ratio(p: DiskProblem, spec: ContourSpec | None = None,
                              diagnostics=diag)
 
 
-def residue_check(p: DiskProblem, n_ang: int = 256,
-                  radii=(0.3, 0.6, 0.9), lam_limit: float = 1e-9) -> dict:
+def residue_check(p: DiskProblem) -> dict:
     """Residue integrals of the spectral trace at the determinant point.
 
     The interior piece is the angular average of c_{-2} at lambda = 0
-    (identically zero for the disk data); the boundary piece is
+    over 256 angles at the radii 0.3 R, 0.6 R and 0.9 R (identically zero
+    for the disk data); the boundary piece is
     sum_{xi=+-1} int_0^infty tr(Aslash dtilde_{-1}(t, t; xi; 0)) dt / (2 pi)
     with Aslash on the boundary, one quadrature per xi.  The determinant
     is finite, so this contraction must vanish; the achieved values are
     reported.
-    ``lam_limit`` regularizes the xi = -1 evaluation, where the closed
-    form is a 0/0 limit.
+    The boundary piece is evaluated at lambda = 1e-9 i, which regularizes
+    the xi = -1 evaluation, where the closed form is a 0/0 limit.
     """
     rep = make_rep_2d()
     theta0 = 0.0
     interior_norms = []
-    for frac in radii:
+    for frac in (0.3, 0.6, 0.9):
         a_th = p.gauge.a_theta(frac * p.R)
         acc = 2 * np.pi * circle_mean(
             lambda phi: c_minus2(rep, a_th, np.cos(phi), np.sin(phi), 0.0,
-                                 p.alpha, theta=theta0), n_ang)
+                                 p.alpha, theta=theta0), 256)
         interior_norms.append(float(np.max(np.abs(acc))))
 
     _, g_theta = polar_gammas(theta0)
@@ -494,7 +500,7 @@ def residue_check(p: DiskProblem, n_ang: int = 256,
     for xi in (1.0, -1.0):
         contraction += integrate_adaptive(
             lambda t, xi=xi: np.trace(a_slash @ d_tilde_minus1(
-                theta0, t, t, xi, lam_limit * 1j, p.w)),
+                theta0, t, t, xi, 1e-9j, p.w)),
             0.0, np.inf, tol=1e-10).value
     contraction /= 2.0 * np.pi
     return {
@@ -506,8 +512,8 @@ def residue_check(p: DiskProblem, n_ang: int = 256,
     }
 
 
-def singularity_cancellation_check(p: DiskProblem, radii=(0.3, 0.5, 0.7),
-                                   delta0: float = 1e-2, levels: int = 3) -> dict:
+def singularity_cancellation_check(p: DiskProblem,
+                                   radii=(0.3, 0.5, 0.7)) -> dict:
     """Pole coefficient of tr(A_theta gamma_theta G_B) at merging angles.
 
     Contracts the Richardson estimate of
@@ -525,8 +531,7 @@ def singularity_cancellation_check(p: DiskProblem, radii=(0.3, 0.5, 0.7),
         a_th = p.gauge.a_theta(r)
         if a_th == 0.0:
             continue
-        estimate, _, _ = diagonal_singularity_coefficient(
-            p, r, theta0, delta0=delta0, levels=levels)
+        estimate, _, _ = diagonal_singularity_coefficient(p, r, theta0)
         coefficient = np.trace(a_th * g_theta @ estimate)
         target = a_th / (1j * np.pi * r)
         rel = abs(coefficient - target) / abs(target)

@@ -276,17 +276,18 @@ def zero_mode_scan(p: DiskProblem, n_range) -> ZeroModeReport:
 
 
 def diagonal_singularity_coefficient(p: DiskProblem, r: float, theta: float,
-                                     delta0: float = 1e-2, levels: int = 3):
+                                     levels: int = 3):
     """Pole coefficient of G_B at equal radii as the angles merge.
 
     Richardson-extrapolates delta * G_B(theta, r, theta - delta, r) in the
-    angle separation delta; the limit is gamma_theta / (2 pi i r).
+    angle separation delta = 1e-2 2^-k, k = 0..levels; the limit is
+    gamma_theta / (2 pi i r).
 
     Returns
     -------
     (estimate, target, rel_err)
     """
-    d = delta0 * 0.5 ** np.arange(levels + 1)
+    d = 1e-2 * 0.5 ** np.arange(levels + 1)
     seq = d[:, None, None] * disk_green(p, PlanePoint(r=r, theta=theta),
                                         PlanePoint(r=r, theta=theta - d))
     for _ in range(levels):

@@ -287,8 +287,8 @@ def d_tilde_minus1(theta: float, t: float, u: float, xi, lam, w) -> np.ndarray:
     return (np.pi * 1j) * np.exp(-(u + t) * s) / (s * bden) * mat
 
 
-def d_tilde_minus1_contour(theta: float, t: float, u: float, xi, lam, w,
-                           n_nodes: int = 512) -> np.ndarray:
+def d_tilde_minus1_contour(theta: float, t: float, u: float, xi, lam,
+                           w) -> np.ndarray:
     """Tilde transform by numerical tau-contour quadrature (the oracle).
 
     d_{-1} is rational in tau with simple poles at tau = +- i s.  The
@@ -299,7 +299,7 @@ def d_tilde_minus1_contour(theta: float, t: float, u: float, xi, lam, w,
     taken counterclockwise around the pole tau = -i s, the one that pairs
     the e^{-i tau u} kernel with decay in u, by the periodic trapezoid
     rule of :func:`~bagdet.quadrature.contour_closed` with one batched
-    ``d_minus1`` call on all ``n_nodes`` nodes.
+    ``d_minus1`` call on all 512 nodes.
     """
     s = decay_root(xi, lam)
 
@@ -307,7 +307,7 @@ def d_tilde_minus1_contour(theta: float, t: float, u: float, xi, lam, w,
         return _expand(np.exp(-1j * tau * u)) * d_minus1(theta, t, xi, tau,
                                                          lam, w)
 
-    return -contour_closed(integrand, -1j * s, 0.5 * abs(s), n=n_nodes)
+    return -contour_closed(integrand, -1j * s, 0.5 * abs(s), n=512)
 
 
 def compose_symbols_check(a_list, c_list, order: int, samples) -> float:
@@ -361,7 +361,7 @@ def k_nu(nu: int) -> float:
                  + 0.5 * _spec.digamma(nu / 2.0))
 
 
-def k_nu_bessel(nu: int, tol: float = 1e-9) -> float:
+def k_nu_bessel(nu: int) -> float:
     """K_nu from its Bessel-integral form (independent quadrature route).
 
         K_nu = 2^{nu/2-1} Gamma(nu/2) *
@@ -373,7 +373,8 @@ def k_nu_bessel(nu: int, tol: float = 1e-9) -> float:
     J_{nu/2-1}; it converts the raw integral (whose logarithm carries
     that coefficient) to the constant accompanying a unit logarithm.  It
     equals 1 at nu = 2.  The oscillatory second integral is rotated onto
-    1 + i v where the outgoing Hankel function decays exponentially.
+    1 + i v where the outgoing Hankel function decays exponentially.  Both
+    integrals are adaptive quadratures to tolerance 1e-9.
     """
     if nu < 2:
         raise ValueError("nu must be at least 2")
@@ -383,11 +384,11 @@ def k_nu_bessel(nu: int, tol: float = 1e-9) -> float:
     def head(rho: float) -> float:
         return rho ** (-nu / 2.0) * (_spec.jv(m, rho) - norm * rho ** m)
 
-    part1 = integrate_adaptive(head, 0.0, 1.0, tol=tol)
+    part1 = integrate_adaptive(head, 0.0, 1.0, tol=1e-9)
 
     def tail(v: float) -> complex:
         z = 1.0 + 1j * v
         return 1j * z ** (-nu / 2.0) * _spec.hankel1(m, z)
 
-    part2 = integrate_adaptive(tail, 0.0, np.inf, tol=tol)
+    part2 = integrate_adaptive(tail, 0.0, np.inf, tol=1e-9)
     return float((part1.value.real + part2.value.real) / norm)

@@ -105,6 +105,7 @@ def test_domain_error_exit_code():
     ["--radius", "1e-200"],               # R^2 underflows to 0
     ["--radius", "1e200"],                # R^2 overflows
     ["--mode", "sweep", "--sweep", "radius=1,1e200"],
+    ["--radius", "1e-160"],               # A_theta^2 overflows in int A.A
 ])
 def test_non_finite_or_overflowing_input_exit_code(flags):
     assert main(["--mode", "determinant"] + flags) == 3
@@ -128,6 +129,11 @@ def test_non_positive_radius_or_width_exit_code(flags):
     ["--mode", "sweep", "--sweep", "phi0=1,nan"],
     ["--profile", "gaussian", "--params", "1,1e-200"],   # s^2 underflows
     ["--profile", "gaussian", "--params", "1,1e200"],    # s^2 overflows
+    # A_theta^2 overflows in int A.A
+    ["--params", "1e160"],
+    ["--profile", "gaussian", "--params", "1e160,0.5"],
+    ["--profile", "polynomial", "--params", "0,1e160"],
+    ["--mode", "sweep", "--sweep", "phi0=1,1e160"],
 ])
 def test_non_finite_profile_parameter_exit_code(flags):
     with warnings.catch_warnings(record=True) as caught:
@@ -153,6 +159,7 @@ def test_usage_error_exit_code():
     assert main(["--mode", "nonsense"]) == 1
     assert main(["--profile", "nope"]) == 1
     assert main(["--tol.unknown", "1e-3"]) == 1
+    assert main(["--rad", "2"]) == 1               # flags are not abbreviated
     assert main(["--mode", "sweep"]) == 1          # missing sweep spec
 
 
@@ -172,6 +179,28 @@ def test_config_file_and_flag_override(tmp_path):
     # flags win over the file
     cfg2 = build_config(["--config", str(cfg_file), "--w", "0.5"])
     assert cfg2.w == 0.5
+
+
+# One value per option, in flag and config-file spelling.
+OPTION_VALUES = {
+    "radius": "1.5", "w": "0.5+0.25j", "profile": "gaussian",
+    "params": "1.2,0.4", "alpha": "0.75", "mode": "sweep",
+    "sweep": "phi0=0.5,1", "out": "result.csv", "format": "csv",
+    **{f"tol.{name}": "1e-3" for name in DEFAULT_TOLERANCES},
+}
+
+
+def test_config_file_keys_are_the_flag_names(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    defaults = build_config([])
+    for key, value in OPTION_VALUES.items():
+        cfg_file.write_text(f"{key} = {value}\n")
+        from_flag = build_config([f"--{key}", value])
+        assert from_flag != defaults, key
+        assert build_config(["--config", str(cfg_file)]) == from_flag, key
+    # a misspelt key is a usage error, not an ignored line
+    cfg_file.write_text("radus = 2\n")
+    assert main(["--config", str(cfg_file)]) == 1
 
 
 def test_complex_w_parsing():
