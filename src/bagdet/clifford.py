@@ -19,6 +19,7 @@ __all__ = [
     "gamma_t",
     "anticommutator",
     "slash",
+    "stack_2x2",
     "mats_close",
 ]
 
@@ -80,24 +81,31 @@ def make_rep_4d_boundary() -> GammaRep:
     return GammaRep(nu=4, k=4, gammas=[gamma_n] + tangential, gamma5=gamma5)
 
 
-def polar_gammas(theta: float):
+def stack_2x2(a00, a01, a10, a11) -> np.ndarray:
+    """Complex [[a00, a01], [a10, a11]] over the entries' broadcast shape."""
+    out = np.empty(np.broadcast(a00, a01, a10, a11).shape + (2, 2), complex)
+    out[..., 0, 0], out[..., 0, 1] = a00, a01
+    out[..., 1, 0], out[..., 1, 1] = a10, a11
+    return out
+
+
+def polar_gammas(theta):
     """Radial/angular frame matrices on the disk at polar angle theta.
 
     Returns
     -------
-    (gamma_r, gamma_theta) : pair of 2x2 ndarray
+    (gamma_r, gamma_theta) : pair of 2x2 ndarray (``(..., 2, 2)`` stacks
+        for an array of angles)
         gamma_r = [[0, e^{-i theta}], [e^{i theta}, 0]] and
         gamma_theta = [[0, -i e^{-i theta}], [i e^{i theta}, 0]]; both are
         unitary, Hermitian, and anticommute.
     """
     em = np.exp(-1j * theta)
     ep = np.exp(1j * theta)
-    gamma_r = np.array([[0.0, em], [ep, 0.0]], dtype=complex)
-    gamma_theta = np.array([[0.0, -1j * em], [1j * ep, 0.0]], dtype=complex)
-    return gamma_r, gamma_theta
+    return stack_2x2(0.0, em, ep, 0.0), stack_2x2(0.0, -1j * em, 1j * ep, 0.0)
 
 
-def gamma_t(theta: float) -> np.ndarray:
+def gamma_t(theta) -> np.ndarray:
     """Gamma matrix of the inward normal coordinate t = R - r.
 
     The inward normal points along -r, so gamma_t = -gamma_r(theta).

@@ -12,11 +12,13 @@ normal distance u through a closed tau-contour integral.  The square root
 s = sqrt(xi^2 - lambda^2) is always the principal branch with Re s > 0,
 which is what the decay requirement selects.
 
-The symbol functions broadcast: ``c_minus1`` and ``c_minus2`` accept
-scalars or NumPy arrays of ``xi``/``tau``, ``d_minus1`` an array of
-``tau``.  Array inputs give shape ``(..., 2, 2)`` (one matrix per node),
-scalar inputs a ``(2, 2)`` matrix, and every singularity and branch check
-covers every node.
+The symbol functions broadcast: each of ``theta`` (``x``), ``t``, ``u``,
+``xi``, ``tau``, ``lam`` and ``a_theta`` is a scalar or an array, the
+arrays broadcast together, and the result has shape ``(..., 2, 2)`` with
+entry ``[j]`` equal to the scalar call at node ``j`` (one ``(2, 2)``
+matrix for scalars; ``decay_root`` gives one root per node).  Every
+singularity and branch check covers every node: one bad node raises for
+the whole batch.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _spec
 
-from .clifford import GammaRep, gamma_t, polar_gammas
+from .clifford import GammaRep, gamma_t, polar_gammas, stack_2x2
 from .errors import BranchError, DomainError, SingularSymbolError
 from .quadrature import circle_mean, contour_closed, integrate_adaptive
 
@@ -85,30 +87,31 @@ class SymbolFn:
     """Matrix-valued interior symbol, homogeneous of ``degree`` in
     (xi, tau, lambda).
 
-    ``eval(x, t, xi, tau, lam)`` returns the k x k value; arrays of
-    ``xi``/``tau`` give a stack of shape ``(..., k, k)``.
+    ``eval(x, t, xi, tau, lam)`` returns the k x k value; arrays give a
+    stack of shape ``(..., k, k)``.
     """
 
     degree: int
     eval: Callable
 
 
-def decay_root(xi, lam) -> complex:
-    """Principal square root s = sqrt(xi^2 - lambda^2) with Re s > 0.
+def decay_root(xi, lam):
+    """Principal square root s = sqrt(xi^2 - lambda^2) with Re s > 0; a
+    Python complex for scalars, an array for arrays.
 
     Raises
     ------
     BranchError
-        If the argument falls on the cut (Re s = 0), where no decaying
-        normal solution exists.
+        If the argument falls on the cut (Re s = 0) at any node, where no
+        decaying normal solution exists.
     """
-    z = complex(xi) ** 2 - complex(lam) ** 2
-    s = np.sqrt(z)
-    if s.real <= 0.0:
+    s = np.sqrt(np.asarray(xi * xi - lam * lam, dtype=complex))
+    bad = s.real <= 0.0
+    if bad.any():
         raise BranchError(
-            f"sqrt(xi^2 - lambda^2) = {s} has no positive real part; "
-            "decaying solution undefined")
-    return complex(s)
+            f"sqrt(xi^2 - lambda^2) = {s[bad].flat[0]} has no positive real "
+            "part; decaying solution undefined")
+    return complex(s) if s.ndim == 0 else s
 
 
 def _expand(x) -> np.ndarray:
@@ -124,36 +127,36 @@ def _check_regular(denom, scale, what: str) -> None:
     also at complex nodes; the check covers every node of a batch.
     """
     bad = np.abs(denom) <= _SING_TOL * np.maximum(scale, 1.0)
-    if np.any(bad):
+    if bad.any():
         raise SingularSymbolError(
             f"{what} = {np.asarray(denom)[bad].flat[0]} is singular")
 
 
-def _xi_slash(theta: float, xi, tau) -> np.ndarray:
+def _xi_slash(theta, xi, tau) -> np.ndarray:
     _, g_theta = polar_gammas(theta)
     return _expand(xi) * g_theta + _expand(tau) * gamma_t(theta)
 
 
-def a1_matrix(rep: GammaRep, xi, tau, lam, theta: float = 0.0) -> np.ndarray:
+def a1_matrix(rep: GammaRep, xi, tau, lam, theta=0.0) -> np.ndarray:
     """Degree-one symbol -xislash - lambda Id in the polar collar frame."""
-    return -_xi_slash(theta, xi, tau) - lam * np.eye(rep.k, dtype=complex)
+    return (-_xi_slash(theta, xi, tau)
+            - _expand(lam) * np.eye(rep.k, dtype=complex))
 
 
-def c_minus1(rep: GammaRep, xi, tau, lam, theta: float = 0.0) -> np.ndarray:
+def c_minus1(rep: GammaRep, xi, tau, lam, theta=0.0) -> np.ndarray:
     """Leading interior coefficient (xislash - lambda Id)/(lambda^2 - xi^2 - tau^2).
 
-    This is the exact inverse of the degree-one symbol.  ``xi`` and
-    ``tau`` are scalars or arrays; arrays give shape ``(..., 2, 2)``.
+    This is the exact inverse of the degree-one symbol.
     """
-    denom = complex(lam) ** 2 - xi * xi - tau * tau
+    denom = lam * lam - xi * xi - tau * tau
     _check_regular(denom, abs(lam) ** 2 + abs(xi) ** 2 + abs(tau) ** 2,
                    "lambda^2 - xi^2 - tau^2")
     return (_xi_slash(theta, xi, tau)
-            - lam * np.eye(rep.k, dtype=complex)) / _expand(denom)
+            - _expand(lam) * np.eye(rep.k, dtype=complex)) / _expand(denom)
 
 
 def c_minus2(rep: GammaRep, a_theta, xi, tau, lam, alpha,
-             theta: float = 0.0) -> np.ndarray:
+             theta=0.0) -> np.ndarray:
     """Next interior coefficient, linear in the gauge potential.
 
     With xi.A = xi A_theta (the potential has no normal component) and the
@@ -165,19 +168,14 @@ def c_minus2(rep: GammaRep, a_theta, xi, tau, lam, alpha,
 
     Equivalently c_{-2} = -alpha c_{-1} Aslash c_{-1}, homogeneous of
     degree -2 in (xi, tau, lambda).
-
-    ``xi`` and ``tau`` broadcast: scalars give one (2, 2) matrix, arrays
-    a stack of shape ``(..., 2, 2)`` with entry ``[j]`` equal to the
-    scalar call at ``(xi[j], tau[j])``.  The singularity check runs on
-    every node; one singular node raises SingularSymbolError.
     """
-    denom = complex(lam) ** 2 - xi * xi - tau * tau
+    denom = lam * lam - xi * xi - tau * tau
     _check_regular(denom, abs(lam) ** 2 + abs(xi) ** 2 + abs(tau) ** 2,
                    "lambda^2 - xi^2 - tau^2")
     _, g_theta = polar_gammas(theta)
     eye = np.eye(rep.k, dtype=complex)
     xi_dot_a = xi * a_theta
-    a_slash = a_theta * g_theta
+    a_slash = _expand(a_theta) * g_theta
     num = (_expand(2.0 * lam * xi_dot_a) * eye - _expand(denom) * a_slash
            - _expand(2.0 * xi_dot_a) * _xi_slash(theta, xi, tau))
     return alpha * num / _expand(denom ** 2)
@@ -194,9 +192,10 @@ def a0_symbol(rep: GammaRep, gauge: GaugeField, alpha: float) -> SymbolFn:
     """a_0 = alpha Aslash evaluated at radius r = R - t."""
 
     def ev(x, t, xi, tau, lam):
-        _, g_theta = polar_gammas(x)
-        a0 = alpha * gauge.a_theta(gauge.R - t) * g_theta
-        return np.broadcast_to(a0, np.shape(xi) + a0.shape)
+        a0 = _expand(alpha * gauge.a_theta(gauge.R - t)) * polar_gammas(x)[1]
+        shape = np.broadcast_shapes(a0.shape[:-2], np.shape(xi),
+                                    np.shape(tau), np.shape(lam))
+        return np.broadcast_to(a0, shape + (2, 2))
 
     return SymbolFn(degree=0, eval=ev)
 
@@ -217,14 +216,13 @@ def c_minus2_symbol(rep: GammaRep, gauge: GaugeField, alpha: float) -> SymbolFn:
 
 def _d_denominator(xi, lam, w, s):
     den = w * lam + 1j * xi + 1j * s
-    if abs(den) <= 1e-12 * max(abs(lam), abs(xi), abs(s), 1.0):
-        raise SingularSymbolError(
-            "w lambda + i xi + i sqrt(xi^2 - lambda^2) = 0: boundary "
-            "condition not solvable along this direction")
+    _check_regular(den, np.maximum(np.maximum(abs(lam), abs(xi)), abs(s)),
+                   "w lambda + i xi + i sqrt(xi^2 - lambda^2) (boundary "
+                   "condition not solvable along this direction)")
     return den
 
 
-def d_minus1(theta: float, t: float, xi, tau, lam, w) -> np.ndarray:
+def d_minus1(theta, t, xi, tau, lam, w) -> np.ndarray:
     """Boundary coefficient d_{-1}(theta, t; xi, tau; lambda) for b0 = (1, w e^{-i theta}).
 
     Solves (-lambda - xi gamma_theta + i gamma_t d_t) d = 0 with
@@ -235,14 +233,9 @@ def d_minus1(theta: float, t: float, xi, tau, lam, w) -> np.ndarray:
                     i e^{-i theta}(xi+s)(w lam + i xi + tau) ],
                   [ lam e^{i theta}(lam - w(i xi - tau)),
                     lam (w lam + i xi + tau) ]].
-
-    ``tau`` is a scalar or an array of (complex) covariables; an array
-    gives shape ``tau.shape + (2, 2)`` with entry ``[j]`` equal to the
-    scalar call at ``tau[j]``.  The singularity check runs on every node;
-    one singular node raises SingularSymbolError.
     """
     s = decay_root(xi, lam)
-    denom = xi * xi + tau * tau - complex(lam) ** 2
+    denom = xi * xi + tau * tau - lam * lam
     _check_regular(denom, abs(lam) ** 2 + abs(xi) ** 2 + abs(tau) ** 2,
                    "xi^2 + tau^2 - lambda^2")
     bden = _d_denominator(xi, lam, w, s)
@@ -250,15 +243,12 @@ def d_minus1(theta: float, t: float, xi, tau, lam, w) -> np.ndarray:
     ep = np.exp(1j * theta)
     left = lam - w * (1j * xi - tau)
     right = w * lam + 1j * xi + tau
-    mat = np.empty(np.shape(tau) + (2, 2), dtype=complex)
-    mat[..., 0, 0] = 1j * (xi + s) * left
-    mat[..., 0, 1] = 1j * em * (xi + s) * right
-    mat[..., 1, 0] = lam * ep * left
-    mat[..., 1, 1] = lam * right
+    mat = stack_2x2(1j * (xi + s) * left, 1j * em * (xi + s) * right,
+                    lam * ep * left, lam * right)
     return _expand(np.exp(-t * s) / (denom * bden)) * mat
 
 
-def d_tilde_minus1(theta: float, t: float, u: float, xi, lam, w) -> np.ndarray:
+def d_tilde_minus1(theta, t, u, xi, lam, w) -> np.ndarray:
     """Tilde transform of d_{-1}: the tau covariable replaced by a second
     normal distance u.
 
@@ -272,23 +262,17 @@ def d_tilde_minus1(theta: float, t: float, u: float, xi, lam, w) -> np.ndarray:
     :func:`d_tilde_minus1_contour`).
     """
     s = decay_root(xi, lam)
-    bden = 1j * w * lam - xi - s          # = i (w lam + i xi + i s)
-    if abs(bden) <= 1e-12 * max(abs(lam), abs(xi), abs(s), 1.0):
-        raise SingularSymbolError(
-            "i w lambda - xi - s = 0: boundary condition not solvable")
+    bden = 1j * _d_denominator(xi, lam, w, s)     # = i w lam - xi - s
     em = np.exp(-1j * theta)
     ep = np.exp(1j * theta)
     col = 1j * lam + w * (xi + s)
     row = 1j * w * lam - xi + s
-    mat = np.array([
-        [(xi + s) * col, em * (xi + s) * row],
-        [-1j * lam * ep * col, -1j * lam * row],
-    ], dtype=complex)
-    return (np.pi * 1j) * np.exp(-(u + t) * s) / (s * bden) * mat
+    mat = stack_2x2((xi + s) * col, em * (xi + s) * row,
+                    -1j * lam * ep * col, -1j * lam * row)
+    return _expand((np.pi * 1j) * np.exp(-(u + t) * s) / (s * bden)) * mat
 
 
-def d_tilde_minus1_contour(theta: float, t: float, u: float, xi, lam,
-                           w) -> np.ndarray:
+def d_tilde_minus1_contour(theta, t, u, xi, lam, w) -> np.ndarray:
     """Tilde transform by numerical tau-contour quadrature (the oracle).
 
     d_{-1} is rational in tau with simple poles at tau = +- i s.  The
@@ -297,17 +281,21 @@ def d_tilde_minus1_contour(theta: float, t: float, u: float, xi, lam,
         -oint e^{-i tau u} d_{-1}(theta, t; xi, tau; lambda) dtau
 
     taken counterclockwise around the pole tau = -i s, the one that pairs
-    the e^{-i tau u} kernel with decay in u, by the periodic trapezoid
-    rule of :func:`~bagdet.quadrature.contour_closed` with one batched
-    ``d_minus1`` call on all 512 nodes.
+    the e^{-i tau u} kernel with decay in u, on tau = -i s + (|s|/2) zeta,
+    |zeta| = 1, by the periodic trapezoid rule of
+    :func:`~bagdet.quadrature.contour_closed`: one ``d_minus1`` call on
+    the 512 zeta nodes of all inputs.
     """
     s = decay_root(xi, lam)
+    half = 0.5 * np.abs(s)
+    ndim = len(np.broadcast_shapes(*map(np.shape, (theta, t, u, xi, lam))))
 
-    def integrand(tau):
-        return _expand(np.exp(-1j * tau * u)) * d_minus1(theta, t, xi, tau,
-                                                         lam, w)
+    def integrand(zeta):
+        tau = -1j * s + half * zeta.reshape(zeta.shape + (1,) * ndim)
+        return _expand(np.exp(-1j * tau * u) * half) * d_minus1(
+            theta, t, xi, tau, lam, w)
 
-    return -contour_closed(integrand, -1j * s, 0.5 * abs(s), n=512)
+    return -contour_closed(integrand, 0.0, 1.0, n=512)
 
 
 def compose_symbols_check(a_list, c_list, order: int, samples) -> float:
@@ -316,23 +304,18 @@ def compose_symbols_check(a_list, c_list, order: int, samples) -> float:
     Products a_i c_j with deg(a_i) + deg(c_j) = order are summed; the
     derivative terms (d_xi a)(D_x c) of the composition are not included,
     so this checks the algebraic part of the recursion.  Returns the
-    maximum deviation (from Id at order 0, from 0 below) over the samples.
+    maximum deviation (from Id at order 0, from 0 below) over the samples
+    ``(x, t, xi, tau, lam)``, which are evaluated in one call per symbol.
     """
-    worst = 0.0
-    for x, t, xi, tau, lam in samples:
-        acc = None
-        for a_sym in a_list:
-            for c_sym in c_list:
-                if a_sym.degree + c_sym.degree == order:
-                    term = a_sym.eval(x, t, xi, tau, lam) @ \
-                        c_sym.eval(x, t, xi, tau, lam)
-                    acc = term if acc is None else acc + term
-        if acc is None:
-            continue
-        if order == 0:
-            acc = acc - np.eye(acc.shape[0], dtype=complex)
-        worst = max(worst, float(np.max(np.abs(acc))))
-    return worst
+    nodes = [np.array(v) for v in zip(*samples)]
+    terms = [a_sym.eval(*nodes) @ c_sym.eval(*nodes) for a_sym in a_list
+             for c_sym in c_list if a_sym.degree + c_sym.degree == order]
+    if not terms:
+        return 0.0
+    acc = sum(terms)
+    if order == 0:
+        acc = acc - np.eye(acc.shape[-1])
+    return float(np.max(np.abs(acc)))
 
 
 def m_coefficient(symbol, x, t, n_nodes: int = 256) -> np.ndarray:

@@ -169,6 +169,51 @@ def test_contour_rejects_eigenvalue_on_circle():
         q_lambda_contour(a1, 0.0, 1.0, 0.0, circle=(0.0, 1.0))
 
 
+def test_disk_q_lambda_and_rank_batch_match_scalar_calls():
+    rng = np.random.default_rng(31)
+    theta = rng.uniform(0, 2 * np.pi, size=24)
+    xi = rng.choice([-1.0, 1.0], size=24) * rng.uniform(0.5, 2.0, size=24)
+    lam = rng.uniform(-1, 1, size=24) + 1j * rng.uniform(-1, 1, size=24)
+    batch = disk_q_lambda(theta, xi, lam)
+    scalar = np.stack([disk_q_lambda(*args) for args in zip(theta, xi, lam)])
+    assert batch.shape == (24, 2, 2)
+    np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+    # a stack of ranks 1 (the projectors), 0 and 2
+    stack = np.concatenate([batch, np.zeros((1, 2, 2)), np.eye(2)[None]])
+    ranks = numerical_rank(stack)
+    assert ranks.tolist() == [numerical_rank(m) for m in stack]
+    assert ranks.tolist() == [1] * 24 + [0, 2]
+    scales = rng.uniform(0.5, 2.0, size=26)
+    scales[3] = 0.0
+    assert numerical_rank(stack, scale=scales).tolist() == [
+        numerical_rank(m, scale=c) for m, c in zip(stack, scales)]
+    # one node on the branch cut raises for the batch
+    with pytest.raises(SingularSymbolError):
+        disk_q_lambda(0.0, np.array([1.0, 1.0, 0.5]),
+                      np.array([0.2j, 1.0, 0.1]))
+
+
+def test_check_ellipticity_svd_count_does_not_grow_with_samples(monkeypatch):
+    calls = []
+    inner = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    bc = disk_boundary_condition(0.8 + 0.1j)
+    counts = []
+    for n in (1, 32):
+        samples = [(2 * np.pi * j / n, (1.0, -2.0)[j % 2]) for j in range(n)]
+        calls.clear()
+        report = check_ellipticity(
+            bc, lambda th, xi: disk_q_lambda(th, xi, 0.0), samples)
+        assert report.passed and len(report.entries) == n
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_ellipticity_disk_passes():
     bc = disk_boundary_condition(1.0)
     samples = [(theta, xi) for theta in np.linspace(0, 2 * np.pi, 6,

@@ -116,9 +116,23 @@ def test_non_finite_or_overflowing_input_exit_code(flags):
     ["--radius", "-1"],
     ["--profile", "gaussian", "--params", "1,0"],
     ["--profile", "gaussian", "--params", "1,-1"],
+    ["--radius", "-1e-3"],
+    ["--alpha", "-1e-3"],                 # alpha outside [0, 1]
 ])
 def test_non_positive_radius_or_width_exit_code(flags):
     assert main(["--mode", "determinant"] + flags) == 3
+
+
+# argparse alone reads these values, which start with '-' and are not
+# plain decimals, as flags
+@pytest.mark.parametrize("flags", [
+    ["--w", "-1e-3"],
+    ["--w", "-1+0.5j"],
+    ["--params", "-1e-3"],
+    ["--profile", "polynomial", "--params", "-1,2"],
+])
+def test_negative_value_after_a_space_exit_code(flags):
+    assert main(["--mode", "determinant"] + flags) == 0
 
 
 @pytest.mark.parametrize("flags", [
@@ -160,6 +174,7 @@ def test_usage_error_exit_code():
     assert main(["--profile", "nope"]) == 1
     assert main(["--tol.unknown", "1e-3"]) == 1
     assert main(["--rad", "2"]) == 1               # flags are not abbreviated
+    assert main(["--w"]) == 1                      # missing value
     assert main(["--mode", "sweep"]) == 1          # missing sweep spec
 
 

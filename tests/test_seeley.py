@@ -3,7 +3,7 @@ import pytest
 
 from bagdet import seeley
 from bagdet.clifford import gamma_t, make_rep_2d, polar_gammas
-from bagdet.errors import BagdetError, SingularSymbolError
+from bagdet.errors import BagdetError, BranchError, SingularSymbolError
 from bagdet.seeley import (GaugeField, a0_symbol, a1_matrix, a1_symbol,
                            c_minus1, c_minus1_symbol, c_minus2,
                            c_minus2_symbol, compose_symbols_check, d_minus1,
@@ -193,6 +193,52 @@ def test_d_minus1_batch_matches_scalar_calls():
     assert grid.shape == (3, 11, 2, 2)
 
 
+def test_boundary_symbols_batch_match_scalar_calls():
+    # arrays of every argument but w; entry [j] is the scalar call at j
+    rng = np.random.default_rng(71)
+    w = 0.9 + 0.3j
+    theta, t, u, xi, lam = (np.array(v) for v in zip(
+        *(admissible_sample(rng, w)[:5] for _ in range(20))))
+    tau = rng.normal(size=20) + 1j * rng.normal(size=20)
+    for fn, args in [(seeley.decay_root, (xi, lam)),
+                     (d_minus1, (theta, t, xi, tau, lam, w)),
+                     (d_minus1, (0.3, 0.2, xi, 0.7 + 0.2j, lam, w)),
+                     (d_tilde_minus1, (theta, t, u, xi, lam, w)),
+                     (d_tilde_minus1_contour, (theta, t, u, xi, lam, w))]:
+        batch = fn(*args)
+        scalar = np.stack([fn(*(a[j] if np.ndim(a) else a for a in args))
+                           for j in range(20)])
+        assert batch.shape == scalar.shape
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
+    assert isinstance(seeley.decay_root(1.0, 0.5j), complex)
+    grid = d_tilde_minus1(theta[:4, None], t[:4, None], u[:4, None],
+                          xi[None, :5], lam[None, :5], w)
+    assert grid.shape == (4, 5, 2, 2)
+    np.testing.assert_allclose(
+        grid[2, 3], d_tilde_minus1(theta[2], t[2], u[2], xi[3], lam[3], w),
+        rtol=1e-14, atol=0)
+
+
+def test_one_bad_node_raises_for_the_whole_boundary_batch():
+    # node 1 lies on the cut of sqrt(xi^2 - lambda^2)
+    xi = np.array([1.0, 0.5, 0.7])
+    lam = np.array([0.2j, 2.0, 0.3])
+    for call in (lambda: seeley.decay_root(xi, lam),
+                 lambda: d_minus1(0.1, 0.2, xi, 0.5, lam, 1.0),
+                 lambda: d_tilde_minus1(0.1, 0.2, 0.3, xi, lam, 1.0),
+                 lambda: d_tilde_minus1_contour(0.1, 0.2, 0.3, xi, lam, 1.0)):
+        with pytest.raises(BranchError):
+            call()
+    # at node 1 (xi = -1, lambda = 0) w lambda + i xi + i s vanishes
+    xi = np.array([1.0, -1.0, 0.7])
+    lam = np.array([0.2j, 0.0, 0.3])
+    for call in (lambda: d_minus1(0.1, 0.2, xi, 0.5, lam, 1.0),
+                 lambda: d_tilde_minus1(0.1, 0.2, 0.3, xi, lam, 1.0),
+                 lambda: d_tilde_minus1_contour(0.1, 0.2, 0.3, xi, lam, 1.0)):
+        with pytest.raises(SingularSymbolError):
+            call()
+
+
 def test_c_minus2_batch_matches_scalar_calls():
     rng = np.random.default_rng(67)
     for _ in range(10):
@@ -210,6 +256,24 @@ def test_c_minus2_batch_matches_scalar_calls():
                             for x, tau in zip(xis, taus)])
         np.testing.assert_allclose(c_minus1(REP, xis, taus, lam, theta),
                                    scalar1, rtol=1e-14, atol=0)
+
+
+def test_interior_symbols_broadcast_over_lambda_theta_and_potential():
+    rng = np.random.default_rng(79)
+    n = 25
+    theta = rng.uniform(0, 2 * np.pi, size=n)
+    xi, a_th = rng.normal(size=n), rng.uniform(0.2, 1.5, size=n)
+    tau = rng.normal(size=n) + 1j * rng.normal(size=n)
+    lam = rng.uniform(-1, 1, size=n) + 1j * rng.uniform(-1, 1, size=n)
+    for fn, args in [(a1_matrix, (REP, xi, tau, lam, theta)),
+                     (c_minus1, (REP, xi, tau, lam, theta)),
+                     (c_minus2, (REP, a_th, xi, tau, lam, 0.8, theta)),
+                     (lambda th: polar_gammas(th)[1], (theta,))]:
+        batch = fn(*args)
+        scalar = np.stack([fn(*(a[j] if np.ndim(a) else a for a in args))
+                           for j in range(n)])
+        assert batch.shape == (n, 2, 2)
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
 
 
 def test_one_singular_node_in_a_batch_raises():
@@ -252,6 +316,13 @@ def test_d_tilde_contour_makes_one_batched_d_minus1_call(monkeypatch):
     monkeypatch.setattr(seeley, "d_minus1", counting)
     d_tilde_minus1_contour(0.3, 0.2, 0.4, 1.1, 0.2 + 0.1j, 0.9 + 0.2j)
     assert calls == [(512,)]
+    # 20 inputs share one call on 512 x 20 nodes
+    rng = np.random.default_rng(73)
+    xi = rng.uniform(0.6, 2.0, size=20)
+    lam = rng.uniform(-0.8, 0.8, size=20) + 1j * rng.uniform(-0.8, 0.8, 20)
+    out = d_tilde_minus1_contour(0.3, 0.2, 0.4, xi, lam, 0.9 + 0.2j)
+    assert out.shape == (20, 2, 2)
+    assert calls == [(512,), (512, 20)]
 
 
 def test_d_tilde_mit_bag_zero_lambda():
