@@ -27,10 +27,18 @@ def poly2(phi0: float, R: float) -> GaugeField:
 
 
 def gaussian(phi0: float, s: float, R: float) -> GaugeField:
-    """phi(r) = phi0 exp(-r^2/s^2)."""
+    """phi(r) = phi0 exp(-r^2/s^2), for widths ``s >= 1e-3 R``.
+
+    The fixed nodes of the int A.A rule cannot find a peak narrower than
+    that: at ``s/R <= 3e-4`` it would return about 0 with error estimate
+    0, so such widths raise DomainError.
+    """
     if s <= 0 or not 0.0 < s * s < math.inf:
         raise DomainError(f"gaussian width {s} is not positive or its "
                           "square under- or overflows")
+    if s < 1e-3 * R:
+        raise DomainError(f"gaussian width {s} is below 1e-3 R = {1e-3 * R}, "
+                          "too narrow for the int A.A quadrature")
     return GaugeField(
         phi=lambda r: phi0 * np.exp(-r ** 2 / s ** 2),
         dphi=lambda r: -2.0 * phi0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2),

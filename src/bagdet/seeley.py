@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _spec
 
 from .clifford import GammaRep, gamma_t, polar_gammas, stack_2x2
 from .errors import BranchError, DomainError, SingularSymbolError
@@ -340,6 +339,8 @@ def k_nu(nu: int) -> float:
     """Boundary-layer constant K_nu = ln 2 - gamma/2 + psi(nu/2)/2."""
     if nu < 2:
         raise ValueError("nu must be at least 2")
+    from scipy import special as _spec
+
     return float(np.log(2.0) - 0.5 * _EULER_GAMMA
                  + 0.5 * _spec.digamma(nu / 2.0))
 
@@ -361,6 +362,8 @@ def k_nu_bessel(nu: int) -> float:
     """
     if nu < 2:
         raise ValueError("nu must be at least 2")
+    from scipy import special as _spec
+
     m = nu / 2.0 - 1.0
     norm = 1.0 / (2.0 ** m * _spec.gamma(nu / 2.0))
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -108,7 +111,10 @@ def test_domain_error_exit_code():
     ["--radius", "1e-160"],               # A_theta^2 overflows in int A.A
 ])
 def test_non_finite_or_overflowing_input_exit_code(flags):
-    assert main(["--mode", "determinant"] + flags) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--mode", "determinant"] + flags) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("flags", [
@@ -118,6 +124,7 @@ def test_non_finite_or_overflowing_input_exit_code(flags):
     ["--profile", "gaussian", "--params", "1,-1"],
     ["--radius", "-1e-3"],
     ["--alpha", "-1e-3"],                 # alpha outside [0, 1]
+    ["--profile", "gaussian", "--params", "1,1e-4"],     # s < 1e-3 R
 ])
 def test_non_positive_radius_or_width_exit_code(flags):
     assert main(["--mode", "determinant"] + flags) == 3
@@ -167,6 +174,30 @@ def test_determinant_mode_gates_every_oracle(tmp_path):
     assert main(off_sheet) == 0
     payload = json.loads(out.read_text())
     assert "boundary_oracle_rel" not in payload["oracle_residuals"]
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "src")
+
+
+def test_sweep_runs_without_scipy_and_oracles_load_it(tmp_path):
+    # a fresh interpreter: sweep (oracles off) must not import scipy, and
+    # determinant (oracles on) must still find it through the lazy imports
+    script = (
+        "import sys\n"
+        "from bagdet.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['--mode', 'sweep', '--sweep', 'w=0.5,2',\n"
+        "             '--out', out + '.csv']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'sweep imported scipy'\n"
+        "assert main(['--mode', 'determinant', '--out', out + '.json']) == 0\n"
+        "assert 'scipy' in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_error_exit_code():

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from bagdet.errors import AccuracyError
+from bagdet.determinant import a_squared_integral
+from bagdet.errors import AccuracyError, DomainError
+from bagdet.profiles import gaussian, poly2, polynomial
 from bagdet.quadrature import (circle_mean, contour_closed,
                                integrate_adaptive, integrate_gauss_legendre,
-                               j2_over_u_integral)
+                               integrate_panels, j2_over_u_integral)
 
 
 def test_rational_halfline_integral():
@@ -121,6 +125,85 @@ def test_circle_mean_gets_all_angles_in_one_call():
     mean = circle_mean(f, 64)
     assert calls == [(64,)]
     assert np.allclose(mean, [0.5, 0.375, 0.0], rtol=0, atol=1e-15)
+
+
+def _gaussian_a_squared(phi0, s, R):
+    """Closed form of int A.A d^2x for phi0 exp(-r^2/s^2) on the disk R."""
+    x = 2.0 * R * R / (s * s)
+    return math.pi * phi0 ** 2 * (-math.expm1(-x) - x * math.exp(-x))
+
+
+def test_pair_rule_exact_for_degree_31_in_one_call():
+    coeffs = np.linspace(-1.0, 1.0, 32)
+    poly = np.polynomial.Polynomial(coeffs)
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return poly(x)
+
+    res = integrate_panels(f, -0.5, 1.5, tol=1e-11)
+    exact = poly.integ()(1.5) - poly.integ()(-0.5)
+    assert calls == [(48,)]
+    assert res.nodes_used == 48
+    assert abs(res.value - exact) < 1e-13 * abs(exact)
+
+
+def test_pair_rule_bisects_to_a_narrow_gaussian():
+    s, calls = 1e-3, []
+
+    def f(r):
+        calls.append(np.shape(r))
+        return (2.0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2)) ** 2 * r
+
+    res = integrate_panels(f, 0.0, 1.0, tol=1e-11)
+    exact = _gaussian_a_squared(1.0, s, 1.0) / (2.0 * np.pi)
+    assert len(calls) > 1 and all(len(shape) == 1 for shape in calls)
+    assert res.nodes_used == sum(shape[0] for shape in calls)
+    assert abs(res.value - exact) < 1e-12 * exact
+    assert res.abs_error_estimate < 1e-11 * exact
+
+
+def test_pair_rule_gives_up_on_a_jump_at_the_panel_cap():
+    with pytest.raises(AccuracyError, match="64 panels") as err:
+        integrate_panels(lambda x: (x > 0.3).astype(float), 0.0, 1.0,
+                         tol=1e-11)
+    assert abs(err.value.estimate - 0.7) < 1e-6
+    assert err.value.abs_error is not None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pair_rule_rejects_one_nonfinite_node(bad):
+    def f(x):
+        vals = np.ones_like(x)
+        vals[40] = bad
+        return vals
+
+    with pytest.raises(ValueError, match="not finite"):
+        integrate_panels(f, 0.0, 1.0, tol=1e-11)
+
+
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
+def test_a_squared_integral_matches_closed_forms(R):
+    coeffs = [0.7, 0.0, -1.3 / R ** 2, 0.4 / R ** 3]
+    dphi = np.polynomial.Polynomial(coeffs).deriv()
+    cases = [
+        (poly2(1.3, R), 2.0 * np.pi * 1.3 ** 2),
+        (gaussian(1.1, 0.5 * R, R), _gaussian_a_squared(1.1, 0.5 * R, R)),
+        (gaussian(1.1, 1e-3 * R, R), _gaussian_a_squared(1.1, 1e-3 * R, R)),
+        (polynomial(coeffs, R),
+         2.0 * np.pi * (dphi ** 2 * np.polynomial.Polynomial([0.0, 1.0]))
+         .integ()(R)),
+    ]
+    for gauge, exact in cases:
+        assert abs(a_squared_integral(gauge).value - exact) < 1e-13 * exact
+
+
+def test_gaussian_narrower_than_the_rule_resolves_is_rejected():
+    # at s/R = 2e-4 every node misses the peak and the rule would return ~0
+    with pytest.raises(DomainError, match="too narrow"):
+        gaussian(1.0, 2e-4, 1.0)
+    gaussian(1.0, 1e-3, 1.0)
 
 
 def test_j2_over_u_full_integral():
