@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clifford import make_rep_2d, polar_gammas
-from .errors import AccuracyError, BranchError, ContourError, DomainError
+from .errors import (AccuracyError, BranchError, ContourError, DomainError,
+                     NonFiniteError)
 from .greens import DiskProblem, diagonal_singularity_coefficient
 from .quadrature import (QuadratureResult, circle_mean, gauss_legendre_panel,
                          integrate_adaptive, integrate_gauss_legendre,
@@ -199,11 +200,12 @@ def flux(gauge: GaugeField) -> float:
 def a_squared_integral(gauge: GaugeField) -> QuadratureResult:
     """int_disk A.A d^2x = 2 pi int_0^R A_theta(r)^2 r dr.
 
-    The radial integrand is smooth on [0, R] for every profile, so it goes
-    to the Gauss-Legendre pair rule :func:`~bagdet.quadrature.integrate_panels`
-    (16 and 32 points per panel, tolerance 1e-11): the value is the
-    32-point estimate and the error estimate ``2 pi sum |I_32 - I_16|``
-    over the accepted panels.
+    The radial integrand is smooth and non-negative on [0, R] for every
+    profile, so it goes to the Gauss-Legendre pair rule
+    :func:`~bagdet.quadrature.integrate_panels` (16 and 32 points per
+    panel, relative tolerance 1e-11): the value is the 32-point estimate
+    and the error estimate ``2 pi sum |I_32 - I_16|`` over the accepted
+    panels.
 
     Raises DomainError if A_theta^2 or the integral overflows or is not
     finite.
@@ -213,7 +215,7 @@ def a_squared_integral(gauge: GaugeField) -> QuadratureResult:
             res = integrate_panels(
                 lambda r: gauge.a_theta(r) ** 2 * r, 0.0, gauge.R, tol=1e-11)
             value = float(2.0 * np.pi * res.value)
-    except (OverflowError, FloatingPointError, ValueError) as exc:
+    except (OverflowError, FloatingPointError, NonFiniteError) as exc:
         raise DomainError(
             f"int A.A d^2x overflows or is not finite: {exc}") from exc
     return QuadratureResult(value=value,

@@ -21,6 +21,10 @@ class SingularityError(DomainError):
     """Evaluation requested on (or too close to) a kernel singularity."""
 
 
+class NonFiniteError(BagdetError, ValueError):
+    """A quadrature integrand returned a non-finite value."""
+
+
 class ContourError(BagdetError):
     """An integration contour passes too close to a pole or branch point."""
 

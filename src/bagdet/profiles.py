@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import PANELS_MIN_FEATURE
 from .seeley import GaugeField
 
 __all__ = ["poly2", "gaussian", "polynomial", "make_profile", "PROFILES"]
@@ -27,18 +28,20 @@ def poly2(phi0: float, R: float) -> GaugeField:
 
 
 def gaussian(phi0: float, s: float, R: float) -> GaugeField:
-    """phi(r) = phi0 exp(-r^2/s^2), for widths ``s >= 1e-3 R``.
+    """phi(r) = phi0 exp(-r^2/s^2), for widths ``s >= PANELS_MIN_FEATURE R``
+    (5e-4 R).
 
-    The fixed nodes of the int A.A rule cannot find a peak narrower than
-    that: at ``s/R <= 3e-4`` it would return about 0 with error estimate
-    0, so such widths raise DomainError.
+    The int A.A rule resolves the peak at r = 0 down to that width; below
+    it every first-round node can fall where A_theta^2 has underflowed to
+    0 and the rule would return 0, so such widths raise DomainError.
     """
     if s <= 0 or not 0.0 < s * s < math.inf:
         raise DomainError(f"gaussian width {s} is not positive or its "
                           "square under- or overflows")
-    if s < 1e-3 * R:
-        raise DomainError(f"gaussian width {s} is below 1e-3 R = {1e-3 * R}, "
-                          "too narrow for the int A.A quadrature")
+    if s < PANELS_MIN_FEATURE * R:
+        raise DomainError(f"gaussian width {s} is below {PANELS_MIN_FEATURE:g} R"
+                          f" = {PANELS_MIN_FEATURE * R:g}, too narrow for the "
+                          "int A.A quadrature")
     return GaugeField(
         phi=lambda r: phi0 * np.exp(-r ** 2 / s ** 2),
         dphi=lambda r: -2.0 * phi0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2),

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from bagdet.determinant import a_squared_integral
-from bagdet.errors import AccuracyError, DomainError
+from bagdet.errors import AccuracyError, DomainError, NonFiniteError
 from bagdet.profiles import gaussian, poly2, polynomial
-from bagdet.quadrature import (circle_mean, contour_closed,
-                               integrate_adaptive, integrate_gauss_legendre,
-                               integrate_panels, j2_over_u_integral)
+from bagdet.quadrature import (PANELS_MIN_FEATURE, circle_mean,
+                               contour_closed, integrate_adaptive,
+                               integrate_gauss_legendre, integrate_panels,
+                               j2_over_u_integral)
+from bagdet.seeley import GaugeField
 
 
 def test_rational_halfline_integral():
@@ -179,8 +181,23 @@ def test_pair_rule_rejects_one_nonfinite_node(bad):
         vals[40] = bad
         return vals
 
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(NonFiniteError, match="not finite"):
         integrate_panels(f, 0.0, 1.0, tol=1e-11)
+
+
+def test_a_squared_integral_maps_only_non_finite_values_to_domain_error():
+    def dphi(r):
+        raise ValueError("defect in the profile")
+
+    gauge = GaugeField(phi=lambda r: 0.0 * r, dphi=dphi, R=1.0, name="bad")
+    with pytest.raises(ValueError, match="defect") as err:
+        a_squared_integral(gauge)
+    assert not isinstance(err.value, DomainError)
+    gauge = GaugeField(phi=lambda r: 0.0 * r, dphi=lambda r: np.sqrt(r - 0.5),
+                       R=1.0, name="nan")
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError,
+                                                     match="not finite"):
+        a_squared_integral(gauge)
 
 
 @pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
@@ -191,6 +208,11 @@ def test_a_squared_integral_matches_closed_forms(R):
         (poly2(1.3, R), 2.0 * np.pi * 1.3 ** 2),
         (gaussian(1.1, 0.5 * R, R), _gaussian_a_squared(1.1, 0.5 * R, R)),
         (gaussian(1.1, 1e-3 * R, R), _gaussian_a_squared(1.1, 1e-3 * R, R)),
+        (gaussian(1.1, 5e-4 * R, R), _gaussian_a_squared(1.1, 5e-4 * R, R)),
+        # small amplitudes: the acceptance test is relative, not absolute
+        (gaussian(1e-5, 1e-2 * R, R), _gaussian_a_squared(1e-5, 1e-2 * R, R)),
+        (gaussian(1e-7, 1e-3 * R, R), _gaussian_a_squared(1e-7, 1e-3 * R, R)),
+        (poly2(1e-9, R), 2.0 * np.pi * 1e-18),
         (polynomial(coeffs, R),
          2.0 * np.pi * (dphi ** 2 * np.polynomial.Polynomial([0.0, 1.0]))
          .integ()(R)),
@@ -200,10 +222,11 @@ def test_a_squared_integral_matches_closed_forms(R):
 
 
 def test_gaussian_narrower_than_the_rule_resolves_is_rejected():
-    # at s/R = 2e-4 every node misses the peak and the rule would return ~0
+    # at s/R = 5e-5 every first-round node sees A_theta^2 underflowed to 0
+    # and the rule returns 0; the bound keeps a margin above that
     with pytest.raises(DomainError, match="too narrow"):
-        gaussian(1.0, 2e-4, 1.0)
-    gaussian(1.0, 1e-3, 1.0)
+        gaussian(1.0, 0.99 * PANELS_MIN_FEATURE, 1.0)
+    gaussian(1.0, PANELS_MIN_FEATURE, 1.0)
 
 
 def test_j2_over_u_full_integral():
