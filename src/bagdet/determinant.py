@@ -245,9 +245,11 @@ def bulk_c2_bessel_oracle(gauge: GaugeField, alpha: float) -> float:
 
 
 def _angular_average_factor(lam: np.ndarray, n_ang: int) -> np.ndarray:
-    """int_{|(xi,tau)|=1} (1 - lambda^2 - 2 xi^2) dsigma by trapezoid."""
-    return 2 * np.pi * circle_mean(
-        lambda phi: (1.0 - lam ** 2) - 2.0 * np.cos(phi)[:, None] ** 2, n_ang)
+    """int_{|(xi,tau)|=1} (1 - lambda^2 - 2 xi^2) dsigma, with the mean of
+    xi^2 = cos^2 phi taken by the trapezoid rule on n_ang angles (the
+    integrand separates, so one mean serves every lambda)."""
+    return 2 * np.pi * ((1.0 - lam ** 2)
+                        - 2.0 * circle_mean(lambda phi: np.cos(phi) ** 2, n_ang))
 
 
 def bulk_log_term(gauge: GaugeField, alpha: float,
@@ -328,13 +330,19 @@ def boundary_contour_oracle(w: complex, flux_value: float,
     over the spectral path, u = (1 - w^2)/2w.  route="real" evaluates the
     reduced half-line form
 
-        -(Phi / 2 pi) u int_0^inf [mu sqrt(1+u^2)/sqrt(1+mu^2) - 1]
-                                   / (1 - u^2 mu^2) dmu,
+        -(Phi / 2 pi) u int_0^inf [mu s/sqrt(1+mu^2) - 1] / (1 - u^2 mu^2) dmu
+      = (Phi / 2 pi) u int_0^inf dmu / [sqrt(1+mu^2) (mu s + sqrt(1+mu^2))],
 
-    whose integrand is regular at mu = 1/|u| (the zero of the bracket
-    cancels the pole), by adaptive quadrature to tolerance 1e-9.  The
-    contour route uses ``ContourSpec.auto(1/|u|)``.  Both must match
-    -(Phi/4 pi) ln w^2.
+    s = sqrt(1+u^2) = (1 + w^2)/2w; the second form follows from
+    s^2 - u^2 = 1 and has neither the cancellation nor the removable pole
+    at mu = 1/|u| of the first.  Its integrand changes scale at
+    mu = 1/|s| and mu = 1 and can fall like 1/mu between them, so the
+    range is split there, mu is scaled by the smaller split point below
+    it and taken logarithmic between the two, and the double-exponential
+    :func:`~bagdet.quadrature.integrate_adaptive` runs to tolerance 1e-9
+    in one call.  This keeps the route at round-off however large |u|
+    is (checked from |w| = 1e-160 to 1e150).  The contour route uses
+    ``ContourSpec.auto(1/|u|)``.  Both must match -(Phi/4 pi) ln w^2.
     """
     w = complex(w)
     if w == 0:
@@ -345,24 +353,23 @@ def boundary_contour_oracle(w: complex, flux_value: float,
     s = _sheet_root(w)
 
     if route == "real":
-        u2 = u * u
+        # mu = lo x on [0, 1], lo e^(x-1) on [1, 1 + span] and hi (x - span)
+        # beyond: each piece has scale 1 in x, and the log piece turns the
+        # 1/mu stretch between 1/|s| and 1 into a plateau; jac is
+        # (d mu / dx) / lo, which keeps the integrand O(1)
+        lo, hi = sorted((1.0 / abs(s), 1.0))
+        span = math.log(hi / lo)
 
-        def integrand(mu: float) -> complex:
-            den = 1.0 - u2 * mu * mu
-            if abs(den) < 1e-12:
-                return -s / ((1.0 + mu * mu) ** 1.5 * 2.0 * u2 * mu)
-            return (mu * s / np.sqrt(1.0 + mu * mu) - 1.0) / den
+        def integrand(x: np.ndarray) -> np.ndarray:
+            jac = np.exp(np.clip(x, 1.0, 1.0 + span) - 1.0)
+            mu = np.where(x < 1.0, lo * x,
+                          np.where(x < 1.0 + span, lo * jac, hi * (x - span)))
+            root = np.sqrt(1.0 + mu * mu)
+            return -jac / (root * (mu * s + root))
 
-        if u.imag == 0.0:
-            mu_star = 1.0 / abs(u.real)
-            head = integrate_adaptive(integrand, 0.0, 2.0 * mu_star, tol=1e-9,
-                                      points=[mu_star])
-            tail = integrate_adaptive(integrand, 2.0 * mu_star, np.inf,
-                                      tol=1e-9)
-            total = head.value + tail.value
-        else:
-            total = integrate_adaptive(integrand, 0.0, np.inf, tol=1e-9).value
-        return complex(-flux_value / (2.0 * np.pi) * u * total)
+        total = integrate_adaptive(integrand, 0.0, np.inf, tol=1e-9,
+                                   points=sorted({1.0, 1.0 + span})).value
+        return complex(-flux_value / (2.0 * np.pi) * u * lo * total)
 
     if route == "contour":
         if w.imag != 0.0 or w.real <= 0.0:
@@ -507,7 +514,7 @@ def residue_check(p: DiskProblem) -> dict:
     for xi in (1.0, -1.0):
         contraction += integrate_adaptive(
             lambda t, xi=xi: np.trace(a_slash @ d_tilde_minus1(
-                theta0, t, t, xi, 1e-9j, p.w)),
+                theta0, t, t, xi, 1e-9j, p.w), axis1=-2, axis2=-1),
             0.0, np.inf, tol=1e-10).value
     contraction /= 2.0 * np.pi
     return {

@@ -31,7 +31,8 @@ import numpy as np
 
 from .clifford import GammaRep, gamma_t, polar_gammas, stack_2x2
 from .errors import BranchError, DomainError, SingularSymbolError
-from .quadrature import circle_mean, contour_closed, integrate_adaptive
+from .quadrature import (circle_mean, contour_closed, integrate_adaptive,
+                         integrate_panels)
 
 __all__ = [
     "GaugeField",
@@ -356,9 +357,14 @@ def k_nu_bessel(nu: int) -> float:
     The prefactor is the reciprocal of the small-argument coefficient of
     J_{nu/2-1}; it converts the raw integral (whose logarithm carries
     that coefficient) to the constant accompanying a unit logarithm.  It
-    equals 1 at nu = 2.  The oscillatory second integral is rotated onto
-    1 + i v where the outgoing Hankel function decays exponentially.  Both
-    integrals are adaptive quadratures to tolerance 1e-9.
+    equals 1 at nu = 2.  The first integrand is smooth and negative on
+    [0, 1] and goes to the Gauss-Legendre pair rule
+    :func:`~bagdet.quadrature.integrate_panels`, whose nodes stay clear of
+    rho = 0, where the bracket cancels to rounding.  The oscillatory
+    second integral is rotated onto 1 + i v where the outgoing Hankel
+    function decays exponentially, and goes to the double-exponential
+    :func:`~bagdet.quadrature.integrate_adaptive`.  Both run to tolerance
+    1e-9.
     """
     if nu < 2:
         raise ValueError("nu must be at least 2")
@@ -367,14 +373,17 @@ def k_nu_bessel(nu: int) -> float:
     m = nu / 2.0 - 1.0
     norm = 1.0 / (2.0 ** m * _spec.gamma(nu / 2.0))
 
-    def head(rho: float) -> float:
+    def head(rho: np.ndarray) -> np.ndarray:
         return rho ** (-nu / 2.0) * (_spec.jv(m, rho) - norm * rho ** m)
 
-    part1 = integrate_adaptive(head, 0.0, 1.0, tol=1e-9)
+    part1 = integrate_panels(head, 0.0, 1.0, tol=1e-9)
 
-    def tail(v: float) -> complex:
+    def tail(v: np.ndarray) -> np.ndarray:
+        # H1_m(z) = hankel1e(m, z) e^{iz}, 0 where e^{iz} underflows
         z = 1.0 + 1j * v
-        return 1j * z ** (-nu / 2.0) * _spec.hankel1(m, z)
+        decay = np.exp(1j * z)
+        return np.where(decay == 0, 0.0,
+                        1j * z ** (-nu / 2.0) * _spec.hankel1e(m, z) * decay)
 
     part2 = integrate_adaptive(tail, 0.0, np.inf, tol=1e-9)
     return float((part1.value.real + part2.value.real) / norm)

@@ -163,6 +163,17 @@ def test_non_finite_profile_parameter_exit_code(flags):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("w, bound", [("1e-8", 1e-12), ("1e-160", 1e-6)])
+def test_boundary_oracle_at_small_w(tmp_path, w, bound):
+    # |u| = |1 - w^2|/2|w| is 5e7 and 5e159 here; the real route stays
+    # finite and gated.  At 1e-160 the residual (1.5e-8) is the closed
+    # form's: w^2 = 1e-320 is subnormal and keeps only ~3 digits.
+    out = tmp_path / "det.json"
+    assert main(["--mode", "determinant", "--w", w, "--out", str(out)]) == 0
+    rel = json.loads(out.read_text())["oracle_residuals"]["boundary_oracle_rel"]
+    assert rel <= bound
+
+
 def test_determinant_mode_gates_every_oracle(tmp_path):
     out = tmp_path / "det.json"
     args = ["--mode", "determinant", "--w", "0.8", "--out", str(out)]
@@ -181,8 +192,9 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 
 def test_sweep_runs_without_scipy_and_oracles_load_it(tmp_path):
-    # a fresh interpreter: sweep (oracles off) must not import scipy, and
-    # determinant (oracles on) must still find it through the lazy imports
+    # a fresh interpreter: sweep (oracles off) must not import scipy;
+    # determinant and verify (oracles on) must still find scipy.special
+    # through the lazy imports, and neither loads scipy.integrate
     script = (
         "import sys\n"
         "from bagdet.cli import main\n"
@@ -191,7 +203,10 @@ def test_sweep_runs_without_scipy_and_oracles_load_it(tmp_path):
         "             '--out', out + '.csv']) == 0\n"
         "assert 'scipy' not in sys.modules, 'sweep imported scipy'\n"
         "assert main(['--mode', 'determinant', '--out', out + '.json']) == 0\n"
-        "assert 'scipy' in sys.modules\n")
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.integrate' not in sys.modules, 'determinant'\n"
+        "assert main(['--mode', 'verify', '--out', out + '.v.json']) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'verify'\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)

@@ -37,8 +37,8 @@ def test_flux_matches_circulation_quadrature():
     # oint A_theta R dtheta with A_theta = -phi'(R), by angular quadrature
     gauge = gaussian(1.2, 0.8, 1.0)
     a_bound = gauge.a_theta(gauge.R)
-    circ = integrate_adaptive(lambda th: a_bound * gauge.R, 0.0,
-                              2 * np.pi).value.real
+    circ = integrate_adaptive(lambda th: np.full_like(th, a_bound * gauge.R),
+                              0.0, 2 * np.pi).value.real
     assert abs(flux(gauge) - circ) < 1e-10
 
 
@@ -128,6 +128,21 @@ def test_boundary_oracle_complex_w_real_route():
     target = boundary_term(w, 4 * np.pi)
     val = boundary_contour_oracle(w, 4 * np.pi, route="real")
     assert abs(val - target) < 1e-6 * abs(target)
+
+
+@pytest.mark.parametrize("w", [1e-8, 1e-4, 1e4, 1e8, 1e150, 0.3 + 0.95j,
+                               0.01 + 0.99999j, 1e-6 + 2e-6j])
+def test_boundary_oracle_real_route_at_round_off(w):
+    # large |u| (small or large |w|) and small |s| (w near i) alike
+    target = boundary_term(w, 4 * np.pi)
+    val = boundary_contour_oracle(w, 4 * np.pi, route="real")
+    assert abs(val - target) < 1e-14 * abs(target)
+
+
+def test_boundary_oracle_real_route_where_w_squared_is_subnormal():
+    # w^2 = 1e-320 is subnormal (~3 digits), so compare with 2 ln w
+    val = boundary_contour_oracle(1e-160, 4 * np.pi, route="real")
+    assert abs(val - (-2.0 * np.log(1e-160))) < 1e-14 * abs(val)
 
 
 def test_boundary_oracle_sheet_guard():

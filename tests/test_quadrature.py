@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bagdet import quadrature
 from bagdet.determinant import a_squared_integral
 from bagdet.errors import AccuracyError, DomainError, NonFiniteError
 from bagdet.profiles import gaussian, poly2, polynomial
@@ -22,7 +23,7 @@ def test_rational_halfline_integral():
 
 
 def test_zero_integrand():
-    res = integrate_adaptive(lambda u: 0.0, 0.0, 1.0)
+    res = integrate_adaptive(np.zeros_like, 0.0, 1.0)
     assert res.value == 0.0
 
 
@@ -34,8 +35,72 @@ def test_complex_integrand():
 def test_nonconvergence_raises_with_estimate():
     f = lambda x: np.sin(1.0 / (x + 1e-12)) / np.sqrt(x + 1e-12)
     with pytest.raises(AccuracyError) as err:
-        integrate_adaptive(f, 0.0, 1.0, tol=1e-13, limit=3)
+        integrate_adaptive(f, 0.0, 1.0, tol=1e-13)
     assert err.value.estimate is not None
+
+
+@pytest.mark.parametrize("b, points", [(np.pi, None), (np.pi, [1.0, 2.5]),
+                                       (np.inf, [2.0])])
+def test_de_rule_calls_f_once_per_level_on_new_nodes_only(b, points):
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.exp((1j - 1.0) * x)
+
+    res = integrate_adaptive(f, 0.0, b, tol=1e-12, points=points)
+    exact = (1.0 - np.exp((1j - 1.0) * b)) / (1.0 - 1j)
+    assert abs(res.value - exact) < 1e-13
+    assert 2 <= len(calls) <= quadrature._DE_MAX_LEVEL + 1
+    assert all(x.ndim == 1 and x.dtype == float for x in calls)
+    nodes = np.concatenate(calls)
+    assert nodes.size == res.nodes_used
+    assert nodes.min() > 0.0 and nodes.max() < b
+    # no node twice, apart from nodes within rounding of an end or break
+    # point, where neighbouring parameters may round to the same double
+    ends = np.array([0.0, b, *(points or [])])
+    dist = np.min(np.abs(nodes[:, None] - ends[np.isfinite(ends)]), axis=1)
+    inner = nodes[dist > 1e-9]
+    assert np.unique(inner).size == inner.size > nodes.size // 2
+
+
+@pytest.mark.parametrize("f, b, exact", [
+    (lambda x: x ** -0.5, 1.0, 2.0),                  # end-point singularity
+    (lambda x: np.log(x), 1.0, -1.0),
+    (lambda x: 1.0 / (1.0 + x) ** 2, np.inf, 1.0),    # algebraic decay
+    (lambda x: x ** -0.5 / (1.0 + x), np.inf, np.pi),
+    (lambda x: x * np.exp(-x), np.inf, 1.0),          # exponential decay
+    (lambda x: np.exp(-x * x), np.inf, 0.5 * math.sqrt(math.pi)),
+])
+def test_de_rule_end_point_singularities_and_decay(f, b, exact):
+    res = integrate_adaptive(f, 0.0, b, tol=1e-10)
+    assert abs(res.value - exact) < 1e-12 * abs(exact)
+    assert res.abs_error_estimate <= 1e-10 * max(1.0, abs(exact))
+
+
+def test_de_rule_points_split_at_kinks():
+    kink = lambda x: np.abs(x - 0.3)
+    res = integrate_adaptive(kink, 0.0, 1.0, points=[0.3])
+    assert abs(res.value - 0.29) < 1e-14
+    with pytest.raises(AccuracyError) as err:
+        integrate_adaptive(kink, 0.0, 1.0)
+    assert abs(err.value.estimate - 0.29) < 1e-6
+    assert err.value.abs_error > 1e-10
+    # a half-line split the same way: int_0^inf e^{-|x-2|} = 2 - e^{-2}
+    res = integrate_adaptive(lambda x: np.exp(-np.abs(x - 2.0)), 0.0, np.inf,
+                             points=[2.0])
+    assert abs(res.value - (2.0 - math.exp(-2.0))) < 1e-13
+    with pytest.raises(ValueError):
+        integrate_adaptive(kink, 0.0, 1.0, points=[1.5])
+
+
+def test_de_rule_rejects_one_nonfinite_node():
+    with pytest.raises(NonFiniteError):
+        integrate_adaptive(lambda x: np.where(x == x.max(), np.nan, 1.0),
+                           0.0, 1.0)
+    with pytest.raises(NonFiniteError):
+        integrate_adaptive(lambda x: np.where(x > 1e3, np.inf, np.exp(-x)),
+                           0.0, np.inf)
 
 
 def test_contour_residue_one():
