@@ -290,15 +290,24 @@ def boundary_term(w: complex, flux_value: float) -> complex:
 
     ln w^2 depends on the value of w^2 only: on the negative real axis
     (imaginary w) it is the principal branch, Im = +pi, for either sign
-    of the zero imaginary part of w*w.
+    of the zero imaginary part of w*w.  w*w is subnormal below
+    |w| ~ 1.5e-154 and overflows above ~1.3e154; outside [1e-150, 1e150]
+    w is first scaled by a power of two to v = w 2^-e with |v| in
+    [1/2, 1), and ln w^2 = ln v^2 + 2 e ln 2, since v^2 = w^2 / 4^e
+    exactly.
     """
     w = complex(w)
     if w == 0:
         raise DomainError("w = 0 does not define an elliptic problem")
-    w2 = w * w
+    w2, e = w * w, 0
+    if not 1e-150 <= abs(w) <= 1e150:
+        e = math.frexp(abs(w))[1]
+        v = complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
+        w2 = v * v
     if w2.imag == 0.0 and w2.real < 0.0:
         w2 = complex(w2.real, 0.0)
-    return -flux_value / (4.0 * np.pi) * np.log(w2)
+    log_w2 = np.log(w2) + 2 * e * math.log(2.0) if e else np.log(w2)
+    return -flux_value / (4.0 * np.pi) * log_w2
 
 
 def _u_parameter(w: complex) -> complex:

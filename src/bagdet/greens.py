@@ -280,8 +280,9 @@ def diagonal_singularity_coefficient(p: DiskProblem, r: float, theta: float,
     """Pole coefficient of G_B at equal radii as the angles merge.
 
     Richardson-extrapolates delta * G_B(theta, r, theta - delta, r) in the
-    angle separation delta = 1e-2 2^-k, k = 0..levels; the limit is
-    gamma_theta / (2 pi i r).
+    angle separation delta = 1e-2 2^-k, k = 0..levels; level j combines
+    (2^j f(delta/2) - f(delta)) / (2^j - 1), which removes the O(delta^j)
+    term.  The limit is gamma_theta / (2 pi i r).
 
     Returns
     -------
@@ -290,8 +291,8 @@ def diagonal_singularity_coefficient(p: DiskProblem, r: float, theta: float,
     d = 1e-2 * 0.5 ** np.arange(levels + 1)
     seq = d[:, None, None] * disk_green(p, PlanePoint(r=r, theta=theta),
                                         PlanePoint(r=r, theta=theta - d))
-    for _ in range(levels):
-        seq = 2.0 * seq[1:] - seq[:-1]
+    for j in range(1, levels + 1):          # removes the O(delta^j) term
+        seq = (2.0 ** j * seq[1:] - seq[:-1]) / (2.0 ** j - 1.0)
     estimate = seq[0]
     _, g_theta = polar_gammas(theta)
     target = g_theta / (2j * np.pi * r)

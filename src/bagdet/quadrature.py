@@ -11,11 +11,14 @@ It has four rules:
 - the Gauss-Legendre pair rule with panel bisection
   (:func:`integrate_panels`) for smooth integrands on finite ranges.
 
-It also holds the split Bessel integral of the bulk oracle.  Every rule
-takes a batched integrand: ``f`` receives its nodes as one array and
-returns one value per node along axis 0 (complex values are integrated
-in one pass).  Scipy is used only for the Bessel functions of that
-integral, as ``scipy.special``, imported inside the function.
+It also holds the split Bessel integral of the bulk oracle and the
+private Bessel and Hankel functions that it and ``seeley.k_nu_bessel``
+use, built from these rules, ``numpy`` and ``math`` alone: J_n of
+integer order by Bessel's integral on the periodic rule, J_m on [0, 1]
+by its power series, and H^(1)_m by its Laplace-type integral on the
+double-exponential rule.  Every rule takes a batched integrand: ``f``
+receives its nodes as one array and returns one value per node along
+axis 0 (complex values are integrated in one pass).
 
 Everything here is deterministic: the same inputs always produce
 bit-identical outputs (fixed node sets, no randomized algorithms).
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,8 +55,9 @@ class QuadratureResult:
 
     Attributes
     ----------
-    value : complex
-        Estimated integral.
+    value : complex or ndarray
+        Estimated integral; a ``(k,)`` array for a vector-valued
+        integrand of :func:`integrate_adaptive`.
     abs_error_estimate : float
         Estimated absolute error (includes any tail-truncation bound).
     nodes_used : int
@@ -111,10 +116,13 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
     Level k samples t at the step 2^-k; each level adds only the odd
     multiples of its step and halves the step of the running sum.  ``f``
     is called once per level, with the new nodes of every piece in one
-    1-D array, and returns one (complex) value per node.  The rule stops
-    when two levels agree to ``tol max(1, |I|)``; that difference is the
-    error estimate, which the finer level usually beats by far because
-    the error roughly squares from one level to the next.  Nodes that
+    1-D array of length n, and returns one (complex) value per node, as
+    ``(n,)``, or one vector per node, as ``(n, k)``; a vector-valued
+    integrand gives a ``(k,)`` value.  The rule stops when two levels
+    agree to ``tol max(1, |I|)`` in every component; the largest
+    difference is the error estimate, which the finer level usually
+    beats by far because the error roughly squares from one level to the
+    next.  Nodes that
     round onto an end or a break point are dropped, so ``f`` is never
     evaluated there.  The exp-sinh map has scale 1: an integrand that
     decays on [p, inf) on a scale far from 1 should be rescaled by the
@@ -123,8 +131,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
     Parameters
     ----------
     f : callable
-        Batched integrand: receives a 1-D float array of nodes and
-        returns an array of the same shape.
+        Batched integrand: receives a 1-D float array of n nodes and
+        returns an ``(n,)`` or ``(n, k)`` array.
     a, b : float
         Integration limits, ``a < b``; ``a`` finite, ``b`` may be
         ``numpy.inf``.
@@ -167,23 +175,25 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
             xs.append(x[inside])
             ws.append(weight[inside])
         x = np.concatenate(xs)
-        vals = np.asarray(f(x), dtype=complex).reshape(x.shape)
+        vals = np.asarray(f(x), dtype=complex)
         bad = ~np.isfinite(vals)
         if bad.any():
             raise NonFiniteError(
                 f"integrand not finite at x = {x[np.nonzero(bad)[0][0]]}")
         nodes += x.size
         acc += np.concatenate(ws) @ vals
-        value = complex(2.0 ** -level * acc)
+        value = 2.0 ** -level * acc
         if level:
-            err = abs(value - previous)
-            if err <= tol * max(1.0, abs(value)):
-                return QuadratureResult(value=value, abs_error_estimate=err,
-                                        nodes_used=nodes)
+            diff = abs(value - previous)
+            if (diff <= tol * np.maximum(abs(value), 1.0)).all():
+                return QuadratureResult(
+                    value=complex(value) if value.ndim == 0 else value,
+                    abs_error_estimate=float(diff.max()), nodes_used=nodes)
         previous = value
     raise AccuracyError(
         f"double-exponential rule did not converge within {_DE_MAX_LEVEL} "
-        "levels", estimate=value, abs_error=err)
+        "levels", estimate=complex(value) if value.ndim == 0 else value,
+        abs_error=float(diff.max()))
 
 
 @functools.lru_cache(maxsize=8)
@@ -400,11 +410,16 @@ def j2_over_u_integral(split: float, tol: float = 1e-11,
     """Quadrature of ``int_split^inf J_2(u)/u du``.
 
     The finite part [split, u_match] goes to the double-exponential rule
-    with break points at the zeros of J_2 (the integrand oscillates).  The
+    with break points at the multiples of pi (the integrand oscillates
+    with about that half-period); J_2 comes from its power series up to
+    u = 1 and from Bessel's integral on u_match + 64 angles beyond.  The
     tail is rotated onto the ray u_match + i v where the outgoing Hankel
     function H^(1)_2 decays exponentially:
 
-        int_U^inf J_2(u)/u du = Re[ i int_0^inf H^(1)_2(U+iv)/(U+iv) dv ].
+        int_U^inf J_2(u)/u du = Re[ i int_0^inf H^(1)_2(U+iv)/(U+iv) dv ],
+
+    with H^(1)_2 from its Laplace-type integral, one for all the nodes of
+    a level.  The value is cached per process.
     """
     if split <= 0:
         raise ValueError("split must be positive")
@@ -417,24 +432,100 @@ def j2_over_u_integral(split: float, tol: float = 1e-11,
 def _j2_over_u(split: float, tol: float, u_match: float) -> QuadratureResult:
     """Body of :func:`j2_over_u_integral`, cached per process: the value
     depends on nothing but the three arguments."""
-    from scipy import special as _spec
+    n_ang = int(u_match) + 64
 
-    n_zeros = int(u_match / np.pi) + 4
-    zeros = _spec.jn_zeros(2, n_zeros)
-    pts = [z for z in zeros if split < z < u_match]
-    head = integrate_adaptive(lambda u: _spec.jv(2, u) / u, split, u_match,
-                              tol=tol, points=pts)
+    def head_integrand(u: np.ndarray) -> np.ndarray:
+        # Bessel's integral gets J_2 ~ u^2/8 from terms of size 1, so it
+        # loses relative accuracy as u -> 0, where the series does not
+        small = u <= 1.0
+        j2 = np.empty_like(u)
+        j2[small] = 0.125 * u[small] ** 2 + _bessel_j_excess(2.0, u[small])
+        j2[~small] = _bessel_j_integer(2, u[~small], n_ang)
+        return j2 / u
+
+    pts = np.pi * np.arange(np.ceil(split / np.pi), np.ceil(u_match / np.pi))
+    head = integrate_adaptive(head_integrand, split, u_match, tol=tol,
+                              points=[p for p in pts if split < p < u_match])
 
     def tail_integrand(v: np.ndarray) -> np.ndarray:
-        # H1_2(z) = hankel1e(2, z) e^{iz}; far out e^{iz} underflows to 0,
-        # where hankel1e itself is NaN (|z| > ~1e15)
-        z = u_match + 1j * v
-        decay = np.exp(1j * z)
-        return np.where(decay == 0, 0.0,
-                        1j * _spec.hankel1e(2, z) * decay / z)
+        return 1j * _hankel1_on_ray(2.0, u_match, v) / (u_match + 1j * v)
 
     tail = integrate_adaptive(tail_integrand, 0.0, np.inf, tol=tol)
     value = complex(head.value + tail.value.real)
     err = head.abs_error_estimate + tail.abs_error_estimate
     return QuadratureResult(value=value, abs_error_estimate=err,
                             nodes_used=head.nodes_used + tail.nodes_used)
+
+
+def _bessel_j_integer(n: int, x: np.ndarray, n_ang: int) -> np.ndarray:
+    """J_n(x) for integer n from Bessel's integral
+
+        J_n(x) = (1/2 pi) int_0^{2 pi} cos(n tau - x sin tau) d tau
+
+    by the periodic trapezoid rule on ``n_ang`` angles, which is exact to
+    rounding once ``n_ang`` exceeds ``max|x| + n`` by a few dozen (the
+    aliasing error is of the size of J_{n_ang - n}(x)).  The angles of
+    :func:`circle_mean`'s rule are summed one at a time, so the
+    temporaries stay of the size of ``x``: an ``(n_ang, x.size)`` block
+    would take about 1 MB per array at the finer levels of the caller's
+    rule, all of it peak memory of the process."""
+    x = np.asarray(x, dtype=float)
+    acc = np.zeros_like(x)
+    for tau in _circle_angles(n_ang):
+        acc += np.cos(n * tau - math.sin(tau) * x)
+    return acc / n_ang
+
+
+# Terms of the power series of J_m on [0, 1]: the 20th is below 1e-40.
+_J_SERIES_TERMS = 20
+
+
+def _bessel_j_excess(m: float, x: np.ndarray) -> np.ndarray:
+    """J_m(x) - (x/2)^m / Gamma(m + 1), the power series of J_m without its
+    leading term, for 0 <= x <= 1 and m >= 0; no cancellation."""
+    y = 0.25 * np.asarray(x, dtype=float) ** 2
+    acc = np.zeros_like(y)
+    for k in range(_J_SERIES_TERMS, 0, -1):
+        acc = y * ((-1) ** k / (math.factorial(k) * math.gamma(k + m + 1))
+                   + acc)
+    return (0.5 * x) ** m * acc
+
+
+# Tolerance of the Laplace integral of H^(1)_m; the double-exponential
+# error roughly squares from one level to the next, so the value that
+# passes it is good to rounding.
+_HANKEL_TOL = 1e-13
+
+
+def _hankel1e(m: float, z: np.ndarray) -> np.ndarray:
+    """H^(1)_m(z) e^{-iz} for m >= 0 and every z of a 1-D array in the
+    closed first quadrant (z != 0), from the Laplace-type integral
+    (DLMF 10.9, https://dlmf.nist.gov/10.9)
+
+        H^(1)_m(z) = sqrt(2 / pi z) e^{i(z - m pi/2 - pi/4)} / Gamma(m + 1/2)
+                     int_0^inf e^{-t} t^{m-1/2} (1 + i t / 2z)^{m-1/2} dt.
+
+    One double-exponential integral serves every z: its integrand has one
+    column per z.  At m = 1/2 the integral is 1.
+    """
+    z = np.asarray(z, dtype=complex)
+    q = 0.5j / z
+
+    def laplace(t: np.ndarray) -> np.ndarray:
+        t = t[:, None]
+        return np.exp(-t) * t ** (m - 0.5) * (1.0 + q * t) ** (m - 0.5)
+
+    integral = integrate_adaptive(laplace, 0.0, np.inf, tol=_HANKEL_TOL).value
+    return (np.sqrt(2.0 / (np.pi * z)) * np.exp(-0.5j * np.pi * (m + 0.5))
+            / math.gamma(m + 0.5) * integral)
+
+
+def _hankel1_on_ray(m: float, x0: float, v: np.ndarray) -> np.ndarray:
+    """H^(1)_m(x0 + i v) for v >= 0, one Laplace integral for all ``v``;
+    0 where the factor e^{i z} = e^{i x0 - v} underflows."""
+    z = x0 + 1j * np.asarray(v, dtype=float)
+    decay = np.exp(1j * z)
+    out = np.zeros(z.shape, dtype=complex)
+    live = decay != 0
+    out[live] = _hankel1e(m, z[live]) * decay[live]
+    return out

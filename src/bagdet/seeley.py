@@ -23,6 +23,7 @@ the whole batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,8 +32,8 @@ import numpy as np
 
 from .clifford import GammaRep, gamma_t, polar_gammas, stack_2x2
 from .errors import BranchError, DomainError, SingularSymbolError
-from .quadrature import (circle_mean, contour_closed, integrate_adaptive,
-                         integrate_panels)
+from .quadrature import (_bessel_j_excess, _hankel1_on_ray, circle_mean,
+                         contour_closed, integrate_adaptive, integrate_panels)
 
 __all__ = [
     "GaugeField",
@@ -337,13 +338,25 @@ _EULER_GAMMA = float(np.euler_gamma)
 
 
 def k_nu(nu: int) -> float:
-    """Boundary-layer constant K_nu = ln 2 - gamma/2 + psi(nu/2)/2."""
-    if nu < 2:
-        raise ValueError("nu must be at least 2")
-    from scipy import special as _spec
+    """Boundary-layer constant K_nu = ln 2 - gamma/2 + psi(nu/2)/2.
 
-    return float(np.log(2.0) - 0.5 * _EULER_GAMMA
-                 + 0.5 * _spec.digamma(nu / 2.0))
+    psi has closed forms at the integers and half-integers,
+    psi(n) = -gamma + H_{n-1} and
+    psi(n + 1/2) = -gamma - 2 ln 2 + 2 sum_{k<=n} 1/(2k - 1), so
+
+        K_nu = ln 2 - gamma + H_{nu/2 - 1} / 2             (nu even),
+        K_nu = -gamma + sum_{k <= (nu-1)/2} 1/(2k - 1)      (nu odd),
+
+    each summed with :func:`math.fsum`.  ``nu`` is an integer >= 2.
+    """
+    if nu < 2 or nu != int(nu):
+        raise ValueError("nu must be an integer of at least 2")
+    n, odd = divmod(int(nu), 2)
+    if odd:
+        return math.fsum([-_EULER_GAMMA]
+                         + [1.0 / (2 * k - 1) for k in range(1, n + 1)])
+    return math.fsum([math.log(2.0), -_EULER_GAMMA]
+                     + [0.5 / k for k in range(1, n)])
 
 
 def k_nu_bessel(nu: int) -> float:
@@ -357,33 +370,31 @@ def k_nu_bessel(nu: int) -> float:
     The prefactor is the reciprocal of the small-argument coefficient of
     J_{nu/2-1}; it converts the raw integral (whose logarithm carries
     that coefficient) to the constant accompanying a unit logarithm.  It
-    equals 1 at nu = 2.  The first integrand is smooth and negative on
-    [0, 1] and goes to the Gauss-Legendre pair rule
-    :func:`~bagdet.quadrature.integrate_panels`, whose nodes stay clear of
-    rho = 0, where the bracket cancels to rounding.  The oscillatory
-    second integral is rotated onto 1 + i v where the outgoing Hankel
-    function decays exponentially, and goes to the double-exponential
-    :func:`~bagdet.quadrature.integrate_adaptive`.  Both run to tolerance
-    1e-9.
+    equals 1 at nu = 2.  The bracket of the first integrand is the power
+    series of J_{nu/2-1} without its leading term, so it does not cancel;
+    the integrand is smooth and negative on [0, 1] and goes to the
+    Gauss-Legendre pair rule :func:`~bagdet.quadrature.integrate_panels`.
+    The oscillatory second integral is rotated onto 1 + i v where the
+    outgoing Hankel function decays exponentially, and goes to the
+    double-exponential :func:`~bagdet.quadrature.integrate_adaptive`;
+    H^(1) comes from its Laplace-type integral, one for all the nodes of
+    a level.  Both run to tolerance 1e-9.  The value depends on ``nu``
+    only and is computed once per process.
     """
     if nu < 2:
         raise ValueError("nu must be at least 2")
-    from scipy import special as _spec
+    return _k_nu_bessel(nu)
 
+
+@functools.lru_cache(maxsize=8)
+def _k_nu_bessel(nu: int) -> float:
+    """Body of :func:`k_nu_bessel`, cached per process."""
     m = nu / 2.0 - 1.0
-    norm = 1.0 / (2.0 ** m * _spec.gamma(nu / 2.0))
-
-    def head(rho: np.ndarray) -> np.ndarray:
-        return rho ** (-nu / 2.0) * (_spec.jv(m, rho) - norm * rho ** m)
-
-    part1 = integrate_panels(head, 0.0, 1.0, tol=1e-9)
-
-    def tail(v: np.ndarray) -> np.ndarray:
-        # H1_m(z) = hankel1e(m, z) e^{iz}, 0 where e^{iz} underflows
-        z = 1.0 + 1j * v
-        decay = np.exp(1j * z)
-        return np.where(decay == 0, 0.0,
-                        1j * z ** (-nu / 2.0) * _spec.hankel1e(m, z) * decay)
-
-    part2 = integrate_adaptive(tail, 0.0, np.inf, tol=1e-9)
+    norm = 1.0 / (2.0 ** m * math.gamma(nu / 2.0))
+    part1 = integrate_panels(
+        lambda rho: rho ** (-nu / 2.0) * _bessel_j_excess(m, rho), 0.0, 1.0,
+        tol=1e-9)
+    part2 = integrate_adaptive(
+        lambda v: 1j * (1.0 + 1j * v) ** (-nu / 2.0)
+        * _hankel1_on_ray(m, 1.0, v), 0.0, np.inf, tol=1e-9)
     return float((part1.value.real + part2.value.real) / norm)

@@ -211,4 +211,4 @@ def test_criterion_9_boundary_constant():
     k2_err = abs(k_nu(2) - (np.log(2.0) - EULER_GAMMA))
     ok = worst < 1e-6 and k2_err < 1e-10
     _report(9, "boundary-layer constant K_nu", ok,
-            f"bessel_vs_digamma={worst:.1e} K2={k2_err:.1e}")
+            f"bessel_vs_closed_form={worst:.1e} K2={k2_err:.1e}")

@@ -163,11 +163,11 @@ def test_non_finite_profile_parameter_exit_code(flags):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("w, bound", [("1e-8", 1e-12), ("1e-160", 1e-6)])
+@pytest.mark.parametrize("w, bound", [("1e-8", 1e-12), ("1e-160", 1e-12)])
 def test_boundary_oracle_at_small_w(tmp_path, w, bound):
     # |u| = |1 - w^2|/2|w| is 5e7 and 5e159 here; the real route stays
-    # finite and gated.  At 1e-160 the residual (1.5e-8) is the closed
-    # form's: w^2 = 1e-320 is subnormal and keeps only ~3 digits.
+    # finite and gated, and the closed form rescales w by a power of two
+    # before squaring it, so the subnormal w^2 = 1e-320 never enters.
     out = tmp_path / "det.json"
     assert main(["--mode", "determinant", "--w", w, "--out", str(out)]) == 0
     rel = json.loads(out.read_text())["oracle_residuals"]["boundary_oracle_rel"]
@@ -191,28 +191,39 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "src")
 
 
-def test_sweep_runs_without_scipy_and_oracles_load_it(tmp_path):
-    # a fresh interpreter: sweep (oracles off) must not import scipy;
-    # determinant and verify (oracles on) must still find scipy.special
-    # through the lazy imports, and neither loads scipy.integrate
+# One run of each mode; the output name gets the mode's index.
+_MODE_RUNS = (
+    "[['--mode', 'sweep', '--sweep', 'w=0.5,2'],\n"
+    " ['--mode', 'determinant'], ['--mode', 'verify'],\n"
+    " ['--mode', 'ellipticity']]")
+
+
+def _run_every_mode(tmp_path, before="", after_each=""):
+    # a fresh interpreter runs all four modes in turn; each must exit 0
     script = (
-        "import sys\n"
+        "import sys\n" + before +
         "from bagdet.cli import main\n"
-        "out = sys.argv[1]\n"
-        "assert main(['--mode', 'sweep', '--sweep', 'w=0.5,2',\n"
-        "             '--out', out + '.csv']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'sweep imported scipy'\n"
-        "assert main(['--mode', 'determinant', '--out', out + '.json']) == 0\n"
-        "assert 'scipy.special' in sys.modules\n"
-        "assert 'scipy.integrate' not in sys.modules, 'determinant'\n"
-        "assert main(['--mode', 'verify', '--out', out + '.v.json']) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'verify'\n")
+        f"for i, args in enumerate({_MODE_RUNS}):\n"
+        "    out = sys.argv[1] + str(i)\n"
+        "    assert main(args + ['--out', out]) == 0, args\n"
+        + after_each)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_mode_imports_scipy(tmp_path):
+    _run_every_mode(tmp_path, after_each=(
+        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "    assert not loaded, (args, loaded)\n"))
+
+
+def test_every_mode_runs_with_scipy_blocked(tmp_path):
+    # a None entry makes every `import scipy...` raise ImportError
+    _run_every_mode(tmp_path, before="sys.modules['scipy'] = None\n")
 
 
 def test_usage_error_exit_code():

@@ -278,6 +278,20 @@ def test_boundary_term_on_the_cut_depends_only_on_w_squared(im):
     assert abs(values[0].real + np.log(im * im)) < 1e-15
 
 
+@pytest.mark.parametrize("w", [1e-160, -1e-160, 3e-170j, 1e-160 * (0.6 + 0.8j),
+                               1e200, 2e180 * (0.6 - 0.8j)])
+def test_boundary_term_where_w_squared_leaves_the_normal_range(w):
+    # w*w is subnormal or overflows here; the reference
+    # 2 ln|w| + i arg w^2 is taken without it
+    phase = complex(w) / abs(w)
+    expected = -(2.0 * np.log(abs(w)) + 1j * np.angle(phase * phase))
+    if np.angle(phase * phase) == -np.pi:
+        expected = expected.real - 1j * np.pi
+    value = boundary_term(w, 4 * np.pi)
+    assert np.isfinite(value)
+    assert abs(value - expected) <= 4e-16 * abs(expected)
+
+
 def test_boundary_term_from_symbol_trace():
     # third route: the boundary coefficient traced against the potential
     # and integrated over the spectral contour reproduces the closed form,

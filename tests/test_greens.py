@@ -145,6 +145,15 @@ def test_singularity_coefficient():
     assert rel < 1e-4
 
 
+def test_singularity_coefficient_strong_field():
+    # poly2 phi0 = 2, w = 4: the O(delta^2) and O(delta^3) terms are large
+    # here, and only the weights 2^j of level j remove them (factor 2 at
+    # every level left 2.8e-4, above the 1e-4 gate)
+    p = standard_problem(w=4.0, alpha=1.0, phi0=2.0)
+    _, _, rel = diagonal_singularity_coefficient(p, 0.55, 1.2)
+    assert rel < 1e-8
+
+
 def test_gauge_vector_tangential():
     gauge = poly2(1.0, 1.0)
     x = PlanePoint(0.5, 0.7)
@@ -322,8 +331,9 @@ def test_singularity_cancellation_matches_scalar_richardson():
         seq = [d * np.trace(a_th * g_theta @ disk_green(
             p, PlanePoint(r, theta0), PlanePoint(r, theta0 - d)))
             for d in delta0 * 0.5 ** np.arange(levels + 1)]
-        for _ in range(levels):
-            seq = [2.0 * seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
+        for j in range(1, levels + 1):
+            seq = [(2.0 ** j * seq[i + 1] - seq[i]) / (2.0 ** j - 1.0)
+                   for i in range(len(seq) - 1)]
         assert abs(entry["coefficient"] - seq[0]) <= 1e-14 * abs(seq[0])
 
 

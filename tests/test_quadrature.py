@@ -300,6 +300,76 @@ def test_j2_over_u_full_integral():
     assert abs(res.value - 0.5) < 1e-8
 
 
+def _j1_over_x(x: float) -> float:
+    # J_1(x)/x = (1/2) sum_k (-1)^k (x/2)^{2k} / (k! (k+1)!)
+    return 0.5 * math.fsum((-1) ** k * (0.5 * x) ** (2 * k)
+                           / (math.factorial(k) * math.factorial(k + 1))
+                           for k in range(30))
+
+
+@pytest.mark.parametrize("split", [5e-4, 1e-3, 0.3, 1.0, 2.5])
+def test_j2_over_u_matches_its_closed_form(split):
+    # int_x^inf J_2(u)/u du = J_1(x)/x
+    res = j2_over_u_integral(split)
+    assert abs(res.value - _j1_over_x(split)) <= 1e-14
+
+
+def test_bessel_j_from_its_integral_and_its_series():
+    # J_2 by Bessel's integral against the series, where both hold
+    x = np.linspace(0.0, 1.0, 41)
+    series = 0.125 * x ** 2 + quadrature._bessel_j_excess(2.0, x)
+    assert np.max(np.abs(quadrature._bessel_j_integer(2, x, 66) - series)) \
+        <= 1e-15
+    # J_1(x) = x (J_1(x)/x)
+    exact = x * np.array([_j1_over_x(v) for v in x])
+    assert np.max(np.abs(quadrature._bessel_j_excess(1.0, x) + 0.5 * x
+                         - exact)) <= 1e-15
+
+
+# first quadrant, on the rays of both Hankel tails and off them
+HANKEL_Z = np.array([1.0, 1.0 + 1.0j, 1.0 + 30.0j, 0.05 + 0.2j, 7.0 + 0.5j,
+                     60.0, 60.0 + 5.0j])
+
+
+def test_hankel_half_order_closed_form():
+    # H^(1)_{1/2}(z) e^{-iz} = -i sqrt(2 / pi z)
+    h = quadrature._hankel1e(0.5, HANKEL_Z)
+    exact = -1j * np.sqrt(2.0 / (np.pi * HANKEL_Z))
+    assert np.max(np.abs(h / exact - 1.0)) <= 1e-15
+
+
+def test_hankel_recurrence():
+    # H_0 + H_2 = (2/z) H_1, also for the scaled functions
+    h0, h1, h2 = (quadrature._hankel1e(m, HANKEL_Z) for m in (0.0, 1.0, 2.0))
+    assert np.max(np.abs((h0 + h2) / (2.0 / HANKEL_Z * h1) - 1.0)) <= 1e-14
+
+
+def test_hankel_on_ray_underflows_to_zero():
+    v = np.array([0.0, 10.0, 800.0, 1e30])
+    h = quadrature._hankel1_on_ray(2.0, 60.0, v)
+    assert h[2] == 0.0 and h[3] == 0.0
+    assert np.array_equal(h[:2], quadrature._hankel1e(2.0, 60.0 + 1j * v[:2])
+                          * np.exp(1j * (60.0 + 1j * v[:2])))
+
+
+def test_vector_valued_adaptive_integrand():
+    # int_0^1 x^k dx = 1/(k+1) and int_0^inf e^{-c x} dx = 1/c, one column
+    # per component; the rule stops only when every column has converged
+    k = np.array([0.0, 1.0, 5.0, 0.5])
+    res = integrate_adaptive(lambda x: x[:, None] ** k, 0.0, 1.0)
+    assert res.value.shape == (4,)
+    assert np.max(np.abs(res.value - 1.0 / (k + 1.0))) < 1e-14
+    c = np.array([1.0, 2.0 + 1.0j, 0.5])
+    res = integrate_adaptive(lambda x: np.exp(-c * x[:, None]), 0.0, np.inf)
+    assert np.max(np.abs(res.value - 1.0 / c)) < 1e-14
+    one = integrate_adaptive(lambda x: np.exp(-c[1] * x), 0.0, np.inf)
+    assert res.nodes_used >= one.nodes_used
+    with pytest.raises(NonFiniteError):
+        integrate_adaptive(
+            lambda x: np.stack([x, np.where(x > 0.5, np.inf, x)], axis=1),
+            0.0, 1.0)
+
+
 def test_determinism():
     f = lambda m: m / (m * m + 1.0) ** 2
     a = integrate_adaptive(f, 0.0, np.inf)

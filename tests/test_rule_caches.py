@@ -1,5 +1,5 @@
-"""Per-process caches of the Gauss-Legendre rules, the spectral path and
-the split Bessel integrals.
+"""Per-process caches of the Gauss-Legendre rules, the spectral path, the
+split Bessel integrals and the Bessel form of K_nu.
 
 The cached arrays are shared by every caller, so they must be read-only;
 a result must not depend on whether a cache was cold or warm, nor on which
@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bagdet import determinant, quadrature
+from bagdet import determinant, quadrature, seeley
 from bagdet.determinant import (ContourSpec, boundary_contour_oracle,
                                 boundary_term, gamma_log_contour,
                                 ln_det_ratio, log_branch)
@@ -26,6 +26,7 @@ def _clear_caches():
     quadrature._pair_rule.cache_clear()
     quadrature._circle_angles.cache_clear()
     quadrature._j2_over_u.cache_clear()
+    seeley._k_nu_bessel.cache_clear()
     determinant._spectral_path.cache_clear()
 
 
@@ -113,7 +114,7 @@ def test_spectral_path_cache_stays_bounded():
     assert cache.cache_info().misses == 2 * bound
 
 
-@pytest.mark.parametrize("module", [quadrature, determinant])
+@pytest.mark.parametrize("module", [quadrature, determinant, seeley])
 def test_public_functions_stay_plain_functions(module):
     public = [getattr(module, name) for name in module.__all__]
     functions = [f for f in public if callable(f) and not inspect.isclass(f)]

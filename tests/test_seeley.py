@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bagdet import seeley
+from bagdet import quadrature, seeley
 from bagdet.clifford import gamma_t, make_rep_2d, polar_gammas
 from bagdet.errors import BagdetError, BranchError, SingularSymbolError
 from bagdet.seeley import (GaugeField, a0_symbol, a1_matrix, a1_symbol,
@@ -404,10 +404,16 @@ def test_angular_average_tau2_minus_xi2():
     assert abs(avg) < 1e-14
 
 
+# K_nu = ln 2 - gamma/2 + psi(nu/2)/2 to 20 digits, nu = 2..7
+K_NU_EXACT = {2: 0.11593151565841244881, 3: 0.42278433509846713939,
+              4: 0.61593151565841244881, 5: 0.75611766843180047273,
+              6: 0.86593151565841244881, 7: 0.95611766843180047273}
+
+
 def test_k_nu_values():
-    assert abs(k_nu(2) - (np.log(2.0) - EULER_GAMMA)) < 1e-10
-    # psi(2) = 1 - gamma
-    assert abs(k_nu(4) - (np.log(2.0) - EULER_GAMMA + 0.5)) < 1e-12
+    assert abs(k_nu(2) - (np.log(2.0) - EULER_GAMMA)) < 1e-15
+    for nu, exact in K_NU_EXACT.items():
+        assert abs(k_nu(nu) - exact) <= 1e-14, nu
 
 
 def test_k_nu_recurrence():
@@ -417,14 +423,33 @@ def test_k_nu_recurrence():
 
 
 def test_k_nu_domain():
-    for nu in (1, 0, -3):
+    for nu in (1, 0, -3, 2.5):
         with pytest.raises(ValueError):
             k_nu(nu)
 
 
 def test_k_nu_bessel_route():
-    for nu in (2, 3, 4):
-        assert abs(k_nu_bessel(nu) - k_nu(nu)) < 1e-6
+    for nu in range(2, 8):
+        assert abs(k_nu_bessel(nu) - k_nu(nu)) <= 1e-13, nu
+
+
+def test_k_nu_bessel_is_computed_once(monkeypatch):
+    calls = []
+    original = quadrature.integrate_adaptive
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    seeley._k_nu_bessel.cache_clear()
+    first = k_nu_bessel(3)
+    monkeypatch.setattr(seeley, "integrate_adaptive", counted)
+    monkeypatch.setattr(quadrature, "integrate_adaptive", counted)
+    assert k_nu_bessel(3) == first
+    assert not calls
+    seeley._k_nu_bessel.cache_clear()
+    assert k_nu_bessel(3) == first
+    assert calls
 
 
 def test_gauge_field_validation():
