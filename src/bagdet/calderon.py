@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clifford import GammaRep, slash, stack_2x2
-from .errors import ContourError, DomainError, SingularSymbolError
+from .errors import BranchError, ContourError, DomainError
 from .quadrature import contour_closed
+from .seeley import decay_root
 
 __all__ = [
     "BoundaryCondition",
@@ -174,16 +175,12 @@ def disk_q_lambda(theta, xi, lam) -> np.ndarray:
         1/(2 s) [[xi + s, -i lam e^{-i theta}],
                  [-i lam e^{i theta}, -xi + s]],   s = sqrt(xi^2 - lam^2),
 
-    with the principal branch (Re s > 0).  Idempotent wherever defined.
-    The arguments broadcast (arrays give ``(..., 2, 2)``), and one node on
-    the branch cut raises SingularSymbolError.
+    with the principal branch (Re s > 0) of :func:`~bagdet.seeley.decay_root`.
+    Idempotent wherever defined.  The arguments broadcast (arrays give
+    ``(..., 2, 2)``), and one node on the branch cut (Re s = 0) raises
+    BranchError.
     """
-    z = np.asarray(xi * xi - lam * lam, dtype=complex)
-    cut = (z.real <= 0.0) & (np.abs(z.imag) <= 1e-14 * (np.abs(z.real) + 1.0))
-    if cut.any():
-        raise SingularSymbolError(
-            f"xi^2 - lambda^2 = {z[cut].flat[0]} lies on the branch cut")
-    s = np.sqrt(z)
+    s = np.asarray(decay_root(xi, lam))
     em = np.exp(-1j * theta)
     ep = np.exp(1j * theta)
     return stack_2x2(xi + s, -1j * lam * em, -1j * lam * ep,
@@ -367,7 +364,7 @@ def check_agmon_cone(bc: BoundaryCondition, sectors) -> AgmonConeReport:
         for xi in xi_grid:
             try:
                 q = disk_q_lambda(theta0, xi, lam)
-            except SingularSymbolError:
+            except BranchError:
                 continue
             rank_bq, rank_q = _rank_test(
                 np.asarray(bc.b(theta0, xi), dtype=complex), q)

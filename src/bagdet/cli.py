@@ -258,25 +258,34 @@ def _write_csv(path: str | None, rows) -> None:
             csv.writer(fh).writerows(rows)
 
 
+# Rows per ln_det_ratio call of a sweep over radius or phi0: int A.A runs
+# on all of them at once, and at this size its reductions stay small
+# single-threaded BLAS calls.  A sweep over w leaves int A.A and the flux
+# as they are, so it runs as one block.
+SWEEP_BLOCK = 128
+
+
 def _run_sweep(cfg: RunConfig) -> int:
     if cfg.sweep_spec is None:
         raise ValueError("sweep mode needs --sweep name=v1,v2,...")
     name, values = cfg.sweep_spec
+    step = len(values) if name == "w" else SWEEP_BLOCK
     rows = [[name, *determinant.CSV_FIELDS]]
-    for v in values:
-        radius = cfg.radius
-        w = cfg.w
-        params = list(cfg.profile_params)
+    for start in range(0, len(values), step):
+        block = np.array(values[start:start + step], dtype=float)
+        radius, w, params = cfg.radius, cfg.w, list(cfg.profile_params)
         if name == "w":
-            w = complex(v)
+            w = block.astype(complex)
         elif name == "radius":
-            radius = float(v)
+            radius = block
         elif name == "phi0":
-            params[0] = float(v)
+            params[0] = block
         gauge = make_profile(cfg.profile, params, radius)
         problem = DiskProblem(R=radius, w=w, alpha=cfg.alpha, gauge=gauge)
         r = determinant.ln_det_ratio(problem, run_oracles=False)
-        rows.append([v, *r.values()])
+        rows.extend(np.column_stack(
+            [block] + [np.broadcast_to(c, block.shape) for c in r.values()])
+            .tolist())
     _write_csv(cfg.output_path, rows)
     print(f"swept {name} over {len(values)} values")
     return 0

@@ -30,7 +30,7 @@ import numpy as np
 
 from .clifford import make_rep_2d, polar_gammas
 from .errors import (AccuracyError, BranchError, ContourError, DomainError,
-                     NonFiniteError)
+                     NonFiniteError, every, require)
 from .greens import DiskProblem, diagonal_singularity_coefficient
 from .quadrature import (QuadratureResult, circle_mean, gauss_legendre_panel,
                          integrate_adaptive, integrate_gauss_legendre,
@@ -192,9 +192,11 @@ def gamma_log_contour(g, spec: ContourSpec | None = None) -> QuadratureResult:
                             nodes_used=sum(counts) + 2)
 
 
-def flux(gauge: GaugeField) -> float:
-    """Total boundary flux Phi = oint A_theta R dtheta = -2 pi R phi'(R)."""
-    return float(-2.0 * np.pi * gauge.R * gauge.dphi(gauge.R))
+def flux(gauge: GaugeField):
+    """Total boundary flux Phi = oint A_theta R dtheta = -2 pi R phi'(R); an
+    array of the batch shape of phi'(R) for a batch of profiles."""
+    value = -2.0 * np.pi * gauge.R * gauge.dphi(gauge.R)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def a_squared_integral(gauge: GaugeField) -> QuadratureResult:
@@ -205,20 +207,26 @@ def a_squared_integral(gauge: GaugeField) -> QuadratureResult:
     :func:`~bagdet.quadrature.integrate_panels` (16 and 32 points per
     panel, relative tolerance 1e-11): the value is the 32-point estimate
     and the error estimate ``2 pi sum |I_32 - I_16|`` over the accepted
-    panels.
+    panels.  A batch of profiles is one call of the rule, with one row
+    per element of the batch shape of A_theta(R); value and error
+    estimate are arrays of that shape.
 
     Raises DomainError if A_theta^2 or the integral overflows or is not
-    finite.
+    finite in any row.
     """
     try:
         with np.errstate(over="raise"):
-            res = integrate_panels(
-                lambda r: gauge.a_theta(r) ** 2 * r, 0.0, gauge.R, tol=1e-11)
-            value = float(2.0 * np.pi * res.value)
+            # R in the batch shape of A_theta, which the profile's
+            # parameters may widen
+            rows = np.shape(gauge.a_theta(gauge.R))
+            R = np.broadcast_to(gauge.R, rows) if rows else gauge.R
+            res = integrate_panels(lambda r: gauge.a_theta(r) ** 2 * r, 0.0, R,
+                                   tol=1e-11)
+            value = 2.0 * np.pi * res.value
     except (OverflowError, FloatingPointError, NonFiniteError) as exc:
         raise DomainError(
             f"int A.A d^2x overflows or is not finite: {exc}") from exc
-    return QuadratureResult(value=value,
+    return QuadratureResult(value=value if rows else float(value),
                             abs_error_estimate=2.0 * np.pi * res.abs_error_estimate,
                             nodes_used=res.nodes_used)
 
@@ -285,7 +293,7 @@ def bulk_log_term(gauge: GaugeField, alpha: float,
     return float(value.real)
 
 
-def boundary_term(w: complex, flux_value: float) -> complex:
+def boundary_term(w, flux_value):
     """Closed-form boundary contribution -(Phi / 4 pi) ln w^2.
 
     ln w^2 depends on the value of w^2 only: on the negative real axis
@@ -294,20 +302,24 @@ def boundary_term(w: complex, flux_value: float) -> complex:
     |w| ~ 1.5e-154 and overflows above ~1.3e154; outside [1e-150, 1e150]
     w is first scaled by a power of two to v = w 2^-e with |v| in
     [1/2, 1), and ln w^2 = ln v^2 + 2 e ln 2, since v^2 = w^2 / 4^e
-    exactly.
+    exactly.  ``w`` and ``flux_value`` may be arrays that broadcast
+    together; the rule and the cut hold on every row, and the scalar
+    result is a complex.
     """
-    w = complex(w)
-    if w == 0:
-        raise DomainError("w = 0 does not define an elliptic problem")
-    w2, e = w * w, 0
-    if not 1e-150 <= abs(w) <= 1e150:
-        e = math.frexp(abs(w))[1]
-        v = complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
-        w2 = v * v
-    if w2.imag == 0.0 and w2.real < 0.0:
-        w2 = complex(w2.real, 0.0)
-    log_w2 = np.log(w2) + 2 * e * math.log(2.0) if e else np.log(w2)
-    return -flux_value / (4.0 * np.pi) * log_w2
+    w = np.asarray(w, dtype=complex)
+    require(w != 0, "w = 0 does not define an elliptic problem")
+    size = np.abs(w)
+    e = np.frexp(size)[1] * ((size < 1e-150) | (size > 1e150))
+    v_re, v_im = np.ldexp(w.real, -e), np.ldexp(w.imag, -e)
+    # v*v, formed as Python's complex product forms it
+    w2 = np.empty(w.shape, dtype=complex)
+    w2.real = v_re * v_re - v_im * v_im
+    w2.imag = v_re * v_im + v_im * v_re
+    w2.imag[(w2.imag == 0.0) & (w2.real < 0.0)] = 0.0
+    log_w2 = np.log(w2)
+    if not every(e == 0):
+        log_w2 = np.where(e == 0, log_w2, log_w2 + 2 * e * math.log(2.0))
+    return (-np.asarray(flux_value) / (4.0 * np.pi) * log_w2)[()]
 
 
 def _u_parameter(w: complex) -> complex:
@@ -424,7 +436,8 @@ class DeterminantResult:
     """Final determinant ratio with its oracle residuals.
 
     ``total = bulk_term + boundary_term`` always holds; the boundary term
-    vanishes for zero flux and for w = +-1.
+    vanishes for zero flux and for w = +-1.  For a batch of problems the
+    values are arrays, each of the batch shape of its term.
     """
 
     bulk_term: float
@@ -467,13 +480,23 @@ def ln_det_ratio(p: DiskProblem, run_oracles: bool = True) -> DeterminantResult:
     :class:`ContourSpec`, the Bessel-kernel route and (for admissible w)
     the boundary quadrature are all evaluated and their residuals reported
     in ``diagnostics``.
+
+    Without the oracles ``p`` may be a batch of problems (see
+    :class:`~bagdet.greens.DiskProblem`): every value of the result, and
+    ``a_squared_abs_err``, is then an array of the batch shape of the
+    term it belongs to, so a batch over w alone computes int A.A and the
+    flux once.  A scalar problem is the one-row case of the same code.
     """
     asq = a_squared_integral(p.gauge)
     phi_flux = flux(p.gauge)
-    bulk = float(-asq.value.real / (2.0 * np.pi))
+    bulk = -asq.value / (2.0 * np.pi)
     bnd = boundary_term(p.w, phi_flux)
     total = bulk + bnd
     diag = {"a_squared_abs_err": asq.abs_error_estimate}
+    if np.ndim(total) == 0:
+        total = complex(total)
+    elif run_oracles:
+        raise ValueError("the oracles need a scalar problem")
     if run_oracles:
         c2_unit = bulk_c2_term(p.gauge, 1.0)
         log_unit = bulk_log_term(p.gauge, 1.0)
@@ -489,9 +512,8 @@ def ln_det_ratio(p: DiskProblem, run_oracles: bool = True) -> DeterminantResult:
             diag["boundary_oracle_rel"] = abs(oracle - bnd) / max(abs(bnd), 1e-12)
         except BranchError:
             pass
-    return DeterminantResult(bulk_term=bulk, boundary_term=bnd,
-                             total=complex(total), flux=phi_flux,
-                             diagnostics=diag)
+    return DeterminantResult(bulk_term=bulk, boundary_term=bnd, total=total,
+                             flux=phi_flux, diagnostics=diag)
 
 
 def residue_check(p: DiskProblem) -> dict:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the batch-wide
+checks that raise them."""
+
+import numpy as np
 
 
 class BagdetError(Exception):
@@ -40,3 +43,25 @@ class AccuracyError(BagdetError):
         super().__init__(message)
         self.estimate = estimate
         self.abs_error = abs_error
+
+
+def every(ok) -> bool:
+    """Whether ``ok`` holds on every row of a batch.  One row (a numpy
+    bool or a 0-d array) is read directly: ``.all()`` costs more than the
+    scalar tests it guards."""
+    ok = np.asarray(ok)
+    return bool(ok.all() if ok.ndim else ok)
+
+
+def require(ok, message: str, *values) -> None:
+    """Raise DomainError unless ``ok`` holds on every row of a batch.
+
+    ``message`` is formatted with each of ``values`` at the first row
+    where ``ok`` fails, so a batch reports one bad row as a scalar call
+    would report its value.
+    """
+    if not every(ok):
+        ok = np.asarray(ok)
+        j = np.flatnonzero(~ok)[0]
+        raise DomainError(message.format(
+            *(np.broadcast_to(v, ok.shape).flat[j] for v in values)))

@@ -25,14 +25,12 @@ scalars, and one bad pair raises for the whole batch.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clifford import polar_gammas
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, require
 from .seeley import GaugeField
 
 __all__ = [
@@ -78,33 +76,35 @@ class PlanePoint:
 @dataclass(frozen=True)
 class DiskProblem:
     """Full data of the boundary problem: radius, bag parameter w,
-    coupling alpha and the radial gauge profile."""
+    coupling alpha and the radial gauge profile.
 
-    R: float
-    w: complex
-    alpha: float
+    ``R``, ``w`` and ``alpha`` may be arrays that broadcast together with
+    the profile's parameters, one batch of problems; every check runs on
+    every row, and one bad row raises DomainError for the whole batch.
+    Only the closed forms of ``determinant.ln_det_ratio`` take a batch.
+    """
+
+    R: float | np.ndarray
+    w: complex | np.ndarray
+    alpha: float | np.ndarray
     gauge: GaugeField
 
     def __post_init__(self):
-        if not (math.isfinite(self.R) and cmath.isfinite(self.w)
-                and math.isfinite(self.alpha)):
-            raise DomainError(
-                f"R, w and alpha must be finite (got R = {self.R}, "
-                f"w = {self.w}, alpha = {self.alpha})")
-        if self.R <= 0:
-            raise DomainError("radius must be positive")
-        if self.w == 0:
-            raise DomainError("w = 0 does not define an elliptic problem")
-        w = complex(self.w)
-        w2 = w * w
-        if w2 == 0 or not cmath.isfinite(w2):
-            raise DomainError(
-                f"w = {self.w} is out of range: w^2 = {w2} under- or "
-                "overflows")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError("alpha must lie in [0, 1]")
-        if abs(self.gauge.R - self.R) > 1e-12 * self.R:
-            raise DomainError("gauge profile radius differs from disk radius")
+        R, w, alpha = self.R, self.w, self.alpha
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(R) & np.isfinite(w) & np.isfinite(alpha)
+            w2 = np.multiply(w, w, dtype=complex)
+            w2_ok = (w2 != 0) & np.isfinite(w2)
+            alpha_ok = np.greater_equal(alpha, 0.0) & np.less_equal(alpha, 1.0)
+            same_R = np.abs(self.gauge.R - R) <= 1e-12 * np.asarray(R)
+        require(finite, "R, w and alpha must be finite (got R = {}, w = {}, "
+                "alpha = {})", R, w, alpha)
+        require(np.greater(R, 0.0), "radius must be positive")
+        require(np.not_equal(w, 0), "w = 0 does not define an elliptic problem")
+        require(w2_ok, "w = {} is out of range: w^2 = {} under- or overflows",
+                w, w2)
+        require(alpha_ok, "alpha must lie in [0, 1]")
+        require(same_R, "gauge profile radius differs from disk radius")
 
 
 def free_green(x: PlanePoint, y: PlanePoint) -> np.ndarray:

@@ -3,7 +3,10 @@
 Each factory returns a :class:`~bagdet.seeley.GaugeField` carrying the
 profile and its exact derivative; the flux therefore needs no numerical
 differentiation.  Every ``phi`` and ``dphi`` takes a scalar or an array
-of radii.
+of radii.  ``R`` and every profile parameter may also be arrays that
+broadcast together, which gives one batch of profiles (see
+:class:`~bagdet.seeley.GaugeField`); every check runs on every row, and
+one bad row raises DomainError for the whole batch.
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require
 from .quadrature import PANELS_MIN_FEATURE
 from .seeley import GaugeField
 
 __all__ = ["poly2", "gaussian", "polynomial", "make_profile", "PROFILES"]
 
 
-def poly2(phi0: float, R: float) -> GaugeField:
+def poly2(phi0, R) -> GaugeField:
     """phi(r) = phi0 (1 - r^2/R^2); flux 4 pi phi0."""
     return GaugeField(
         phi=lambda r: phi0 * (1.0 - r ** 2 / R ** 2),
@@ -27,7 +30,7 @@ def poly2(phi0: float, R: float) -> GaugeField:
         R=R, name="poly2")
 
 
-def gaussian(phi0: float, s: float, R: float) -> GaugeField:
+def gaussian(phi0, s, R) -> GaugeField:
     """phi(r) = phi0 exp(-r^2/s^2), for widths ``s >= PANELS_MIN_FEATURE R``
     (5e-4 R).
 
@@ -35,33 +38,46 @@ def gaussian(phi0: float, s: float, R: float) -> GaugeField:
     it every first-round node can fall where A_theta^2 has underflowed to
     0 and the rule would return 0, so such widths raise DomainError.
     """
-    if s <= 0 or not 0.0 < s * s < math.inf:
-        raise DomainError(f"gaussian width {s} is not positive or its "
-                          "square under- or overflows")
-    if s < PANELS_MIN_FEATURE * R:
-        raise DomainError(f"gaussian width {s} is below {PANELS_MIN_FEATURE:g} R"
-                          f" = {PANELS_MIN_FEATURE * R:g}, too narrow for the "
-                          "int A.A quadrature")
+    with np.errstate(all="ignore"):
+        s2 = np.multiply(s, s)
+        ok = (np.greater(s, 0.0) & (s2 > 0.0)) & (s2 < math.inf)
+        wide = np.logical_not(np.less(s, PANELS_MIN_FEATURE * np.asarray(R)))
+    require(ok, "gaussian width {} is not positive or its square under- or "
+            "overflows", s)
+    require(wide, "gaussian width {} is below {:g} R = {:g}, too narrow for "
+            "the int A.A quadrature", s, PANELS_MIN_FEATURE,
+            PANELS_MIN_FEATURE * np.asarray(R))
     return GaugeField(
         phi=lambda r: phi0 * np.exp(-r ** 2 / s ** 2),
         dphi=lambda r: -2.0 * phi0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2),
         R=R, name="gaussian")
 
 
-def polynomial(coeffs, R: float) -> GaugeField:
-    """phi(r) = sum_k c_k r^k with user coefficients (low order first)."""
-    poly = np.polynomial.Polynomial(list(coeffs))
-    return GaugeField(phi=poly, dphi=poly.deriv(), R=R, name="polynomial")
+def polynomial(coeffs, R) -> GaugeField:
+    """phi(r) = sum_k c_k r^k with user coefficients (low order first).
+
+    The coefficients broadcast together; ``dphi`` uses only c_1, c_2, ...,
+    so a batch that varies c_0 alone has a scalar A_theta.
+    """
+    coeffs = list(coeffs)
+    dcoeffs = [k * c for k, c in enumerate(coeffs[1:], start=1)] or [0.0]
+    c, dc = (np.array(np.broadcast_arrays(*cs)) for cs in (coeffs, dcoeffs))
+    polyval = np.polynomial.polynomial.polyval
+    return GaugeField(phi=lambda r: polyval(r, c, tensor=False),
+                      dphi=lambda r: polyval(r, dc, tensor=False),
+                      R=R, name="polynomial")
 
 
-def make_profile(name: str, params, R: float) -> GaugeField:
+def make_profile(name: str, params, R) -> GaugeField:
     """Build a profile from its CLI name and parameter list.
 
+    Each parameter, and ``R``, is a scalar or an array, and the arrays
+    broadcast together (a sweep passes the swept one as an array).
     Raises DomainError if a parameter is not finite.
     """
     params = list(params)
-    if not all(math.isfinite(v) for v in params):
-        raise DomainError(f"profile parameters must be finite, got {params}")
+    for v in params:
+        require(np.isfinite(v), "profile parameters must be finite, got {}", v)
     if name == "poly2":
         if len(params) != 1:
             raise ValueError("poly2 takes one parameter: phi0")

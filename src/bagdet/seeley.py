@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .clifford import GammaRep, gamma_t, polar_gammas, stack_2x2
-from .errors import BranchError, DomainError, SingularSymbolError
+from .errors import BranchError, SingularSymbolError, require
 from .quadrature import (_bessel_j_excess, _hankel1_on_ray, circle_mean,
                          contour_closed, integrate_adaptive, integrate_panels)
 
@@ -67,17 +67,24 @@ class GaugeField:
     -2 pi R phi'(R).  Both phi and its analytic derivative must be
     supplied, each taking a scalar or an array of radii; nothing here
     differentiates numerically.
+
+    A batch of profiles has ``R`` and the profile parameters as arrays
+    that broadcast together, of batch shape S; ``phi`` and ``dphi`` then
+    take radii of shape ``(m,) + S`` (or S) and broadcast.  The batch
+    shape of A_theta is that of ``dphi(R)``.
     """
 
-    phi: Callable[[float], float]
-    dphi: Callable[[float], float]
-    R: float
+    phi: Callable
+    dphi: Callable
+    R: float | np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        if self.R <= 0 or not 0.0 < self.R * self.R < math.inf:
-            raise DomainError(f"disk radius {self.R} is not positive or "
-                              "its square under- or overflows")
+        with np.errstate(all="ignore"):
+            r2 = np.multiply(self.R, self.R)
+            ok = (np.greater(self.R, 0.0) & (r2 > 0.0)) & (r2 < math.inf)
+        require(ok, "disk radius {} is not positive or its square under- "
+                "or overflows", self.R)
 
     def a_theta(self, r):
         return -self.dphi(r)

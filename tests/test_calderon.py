@@ -10,8 +10,8 @@ from bagdet.calderon import (chiral_boundary_condition,
                              numerical_rank, q_chiral, q_lambda_contour,
                              q_principal)
 from bagdet.clifford import make_rep_2d, make_rep_4d_boundary
-from bagdet.errors import ContourError, DomainError, SingularSymbolError
-from bagdet.seeley import a1_symbol
+from bagdet.errors import BranchError, ContourError, DomainError
+from bagdet.seeley import a1_symbol, decay_root
 
 
 def tangent_frame(theta):
@@ -126,10 +126,24 @@ def test_disk_q_lambda_idempotent():
 
 
 def test_disk_q_lambda_branch_cut_rejected():
-    with pytest.raises(SingularSymbolError):
+    with pytest.raises(BranchError):
         disk_q_lambda(0.0, 1.0, 1.0)          # xi^2 = lambda^2
-    with pytest.raises(SingularSymbolError):
+    with pytest.raises(BranchError):
         disk_q_lambda(0.0, 1.0, 2.0)          # xi^2 - lambda^2 < 0
+
+
+def test_disk_q_lambda_cuts_where_decay_root_does():
+    # one cut test for sqrt(xi^2 - lambda^2): just off the cut both give
+    # the root with Re s > 0, on it both raise BranchError
+    s = decay_root(1.0, 1.0 + 1e-15j)
+    assert s.real > 0.0
+    q = disk_q_lambda(0.0, 1.0, 1.0 + 1e-15j)
+    assert q[0, 0] == (1.0 + s) / (2.0 * s)
+    for xi, lam in [(1.0, 1.0), (1.0, 2.0), (0.5, -0.5)]:
+        with pytest.raises(BranchError):
+            decay_root(xi, lam)
+        with pytest.raises(BranchError):
+            disk_q_lambda(0.0, xi, lam)
 
 
 def test_contour_matches_closed_form():
@@ -188,7 +202,7 @@ def test_disk_q_lambda_and_rank_batch_match_scalar_calls():
     assert numerical_rank(stack, scale=scales).tolist() == [
         numerical_rank(m, scale=c) for m, c in zip(stack, scales)]
     # one node on the branch cut raises for the batch
-    with pytest.raises(SingularSymbolError):
+    with pytest.raises(BranchError):
         disk_q_lambda(0.0, np.array([1.0, 1.0, 0.5]),
                       np.array([0.2j, 1.0, 0.1]))
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,26 @@ import warnings
 import numpy as np
 import pytest
 
-from bagdet.cli import DEFAULT_TOLERANCES, RunConfig, build_config, main
+from bagdet import determinant
+from bagdet.cli import (DEFAULT_TOLERANCES, SWEEP_BLOCK, RunConfig,
+                        build_config, main)
+from bagdet.greens import DiskProblem
+from bagdet.profiles import make_profile
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def _grid(name, values):
+    return f"{name}=" + ",".join(repr(float(v)) for v in values)
+
+
+def _with_bad(bad, n=300, at=200):
+    """A grid of n values in [0.5, 2] with ``bad`` at index ``at``, in the
+    second block of rows of a radius or phi0 sweep."""
+    grid = np.linspace(0.5, 2.0, n)
+    grid[at] = bad
+    return grid
 
 
 def test_determinant_json_output(tmp_path):
@@ -49,6 +69,75 @@ def test_sweep_boundary_column(tmp_path):
     assert np.allclose(boundary, expected, atol=1e-10)
     assert np.allclose(boundary, [1.3862943611, 0.0, -1.3862943611],
                        atol=1e-9)
+
+
+# 300 values: more than one block of a radius or phi0 sweep; the w grid
+# takes both signs
+SWEEP_GRIDS = {
+    "w": np.ravel([(v, -v) for v in np.geomspace(0.25, 4.0, 150)]),
+    "radius": np.linspace(0.6, 1.9, 300),
+    "phi0": np.geomspace(0.2, 2.0, 300),
+}
+# (profile, params, radius): the Gaussian of width 1e-3 R needs ~19 panels
+SWEEP_PROFILES = [("poly2", [1.3], 1.2),
+                  ("gaussian", [0.9, 1e-3], 1.0),
+                  ("polynomial", [0.5, 0.0, -1.2, 0.3], 1.1)]
+
+
+@pytest.mark.parametrize("name", list(SWEEP_GRIDS))
+@pytest.mark.parametrize("profile, params, radius", SWEEP_PROFILES)
+def test_sweep_rows_match_determinant_calls(tmp_path, name, profile, params,
+                                            radius):
+    out = tmp_path / "sweep.csv"
+    grid = SWEEP_GRIDS[name]
+    w = 0.8 + 0.3j
+    assert main(["--mode", "sweep", "--sweep", _grid(name, grid),
+                 "--profile", profile, "--params",
+                 ",".join(map(repr, params)), "--radius", repr(radius),
+                 "--w", repr(w), "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == [name, *determinant.CSV_FIELDS]
+    assert len(rows) == len(grid) + 1
+    for row, v in zip(rows[1:], grid):
+        vals = [float(x) for x in row]
+        assert vals[0] == v
+        R, w_row, p = radius, w, list(params)
+        if name == "w":
+            w_row = complex(v)
+        elif name == "radius":
+            R = v
+        else:
+            p[0] = v
+        ref = determinant.ln_det_ratio(
+            DiskProblem(R=R, w=w_row, alpha=1.0,
+                        gauge=make_profile(profile, p, R)),
+            run_oracles=False).values()
+        for k in (0, 1, 2, 5):                 # bulk, boundary, flux
+            assert abs(vals[1 + k] - ref[k]) <= 4 * EPS * abs(ref[k]), k
+        scale = max(abs(ref[0]), abs(complex(ref[1], ref[2])))
+        for k in (3, 4):                       # total
+            assert abs(vals[1 + k] - ref[k]) <= 4 * EPS * scale, k
+
+
+@pytest.mark.parametrize("name", ["w", "radius", "phi0"])
+def test_sweep_makes_one_int_a_a_call_per_block(monkeypatch, tmp_path, name):
+    # guards against a per-row loop: int A.A runs once for a w sweep, once
+    # per block of rows for a radius or phi0 sweep
+    calls = []
+    inner = determinant.integrate_panels
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(determinant, "integrate_panels", counting)
+    grid = np.linspace(0.5, 2.0, 960)
+    assert main(["--mode", "sweep", "--sweep", _grid(name, grid),
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    if name == "w":
+        assert len(calls) == 1
+    else:
+        assert 1 < len(calls) <= math.ceil(960 / SWEEP_BLOCK)
 
 
 def test_imaginary_w_spellings_agree(tmp_path):
@@ -109,12 +198,19 @@ def test_domain_error_exit_code():
     ["--radius", "1e200"],                # R^2 overflows
     ["--mode", "sweep", "--sweep", "radius=1,1e200"],
     ["--radius", "1e-160"],               # A_theta^2 overflows in int A.A
+    # one bad value in the second block of rows of a sweep
+    ["--mode", "sweep", "--sweep", _grid("w", _with_bad(np.nan))],
+    ["--mode", "sweep", "--sweep", _grid("w", _with_bad(1e200))],
+    ["--mode", "sweep", "--sweep", _grid("radius", _with_bad(np.nan))],
+    ["--mode", "sweep", "--sweep", _grid("radius", _with_bad(1e200))],
+    ["--mode", "sweep", "--sweep", _grid("radius", _with_bad(1e-160))],
 ])
-def test_non_finite_or_overflowing_input_exit_code(flags):
+def test_non_finite_or_overflowing_input_exit_code(flags, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["--mode", "determinant"] + flags) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().out == ""          # no CSV row, no result
 
 
 @pytest.mark.parametrize("flags", [
@@ -155,12 +251,23 @@ def test_negative_value_after_a_space_exit_code(flags):
     ["--profile", "gaussian", "--params", "1e160,0.5"],
     ["--profile", "polynomial", "--params", "0,1e160"],
     ["--mode", "sweep", "--sweep", "phi0=1,1e160"],
+    # one bad value in the second block of rows of a sweep
+    ["--mode", "sweep", "--sweep", _grid("phi0", _with_bad(np.nan))],
+    ["--mode", "sweep", "--sweep", _grid("phi0", _with_bad(1e160))],
+    ["--profile", "gaussian", "--params", "1,1e-3", "--mode", "sweep",
+     "--sweep", _grid("phi0", _with_bad(1e160))],
+    ["--profile", "polynomial", "--params", "1,0,-1", "--mode", "sweep",
+     "--sweep", _grid("phi0", _with_bad(np.inf))],
+    # a Gaussian of width 1e-3 swept past R = 2e3 s, where s < 5e-4 R
+    ["--profile", "gaussian", "--params", "1,1e-3", "--mode", "sweep",
+     "--sweep", _grid("radius", np.linspace(1.0, 3.0, 300))],
 ])
-def test_non_finite_profile_parameter_exit_code(flags):
+def test_non_finite_profile_parameter_exit_code(flags, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["--mode", "determinant"] + flags) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().out == ""          # no CSV row, no result
 
 
 @pytest.mark.parametrize("w, bound", [("1e-8", 1e-12), ("1e-160", 1e-12)])

@@ -292,6 +292,48 @@ def test_boundary_term_where_w_squared_leaves_the_normal_range(w):
     assert abs(value - expected) <= 4e-16 * abs(expected)
 
 
+def test_boundary_term_batch_rows_equal_scalar_calls():
+    # the cut rule and the power-of-two rescaling hold on every row, to
+    # the bit and to the sign of each zero
+    w = np.array([0.5, -0.5, 2.0, 1.0, -1.0, complex(0.0, 1.3),
+                  complex(-0.0, -1.3), complex(0.0, -0.7), 0.7 + 0.3j,
+                  -1.2 - 0.4j, 1e-160, -3e-170j, 1e200, 2e180 * (0.6 - 0.8j)])
+    phi = np.linspace(-3.0, 5.0, w.size)
+    for fluxes in (phi, 4 * np.pi):
+        batch = boundary_term(w, fluxes)
+        assert batch.shape == w.shape
+        rows = [boundary_term(wj, fj)
+                for wj, fj in zip(w, np.broadcast_to(fluxes, w.shape))]
+        for b, r in zip(batch, rows):
+            assert (b.real, b.imag) == (r.real, r.imag)
+            assert np.signbit([b.real, b.imag]).tolist() == \
+                np.signbit([r.real, r.imag]).tolist()
+    with pytest.raises(DomainError):
+        boundary_term(np.array([1.0, 0.0]), 1.0)
+
+
+def test_batched_problem_runs_the_closed_forms_only():
+    R = np.array([0.7, 1.0, 1.6])
+    p = DiskProblem(R=R, w=0.8, alpha=1.0, gauge=gaussian(0.9, 0.3, R))
+    batch = ln_det_ratio(p, run_oracles=False)
+    assert batch.total.shape == batch.diagnostics["a_squared_abs_err"].shape \
+        == (3,)
+    for j, Rj in enumerate(R):
+        one = ln_det_ratio(DiskProblem(R=Rj, w=0.8, alpha=1.0,
+                                       gauge=gaussian(0.9, 0.3, Rj)),
+                           run_oracles=False)
+        assert batch.total[j] == pytest.approx(one.total, rel=1e-15)
+        assert batch.flux[j] == pytest.approx(one.flux, rel=1e-15)
+    with pytest.raises(ValueError, match="scalar problem"):
+        ln_det_ratio(p)
+    # one bad row raises for the whole batch
+    with pytest.raises(DomainError):
+        DiskProblem(R=R, w=np.array([0.8, 0.0, 1.0]), alpha=1.0,
+                    gauge=gaussian(0.9, 0.3, R))
+    with pytest.raises(DomainError, match="too narrow"):
+        gaussian(0.9, 1e-3, np.array([1.0, 3.0]))
+
+
 def test_boundary_term_from_symbol_trace():
     # third route: the boundary coefficient traced against the potential
     # and integrated over the spectral contour reproduces the closed form,

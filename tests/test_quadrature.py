@@ -13,6 +13,8 @@ from bagdet.quadrature import (PANELS_MIN_FEATURE, circle_mean,
                                j2_over_u_integral)
 from bagdet.seeley import GaugeField
 
+EPS = float(np.finfo(float).eps)
+
 
 def test_rational_halfline_integral():
     # antiderivative of mu/(mu^2+1)^2 is -1/(2 (mu^2+1)), so the value is 1/2
@@ -248,6 +250,53 @@ def test_pair_rule_rejects_one_nonfinite_node(bad):
 
     with pytest.raises(NonFiniteError, match="not finite"):
         integrate_panels(f, 0.0, 1.0, tol=1e-11)
+
+
+def _narrow_peak(s):
+    """The int A.A integrand of a Gaussian of width(s) s and amplitude 1."""
+    return lambda r: (2.0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2)) ** 2 * r
+
+
+def test_pair_rule_batch_rows_equal_scalar_calls():
+    # rows done in the first round beside rows that need ~19 panels, on
+    # their own ranges; the parameter s broadcasts against the nodes
+    s = np.array([[0.3, 1e-3, 0.5], [2e-3, 1e-3, 0.05]])
+    b = np.array([1.0, 1.0, 2.0])
+    calls = []
+
+    def f(r):
+        calls.append(r.shape)
+        return _narrow_peak(s)(r)
+
+    batch = integrate_panels(f, 0.0, np.broadcast_to(b, s.shape), tol=1e-11)
+    assert batch.value.shape == batch.abs_error_estimate.shape == (2, 3)
+    assert len(calls) > 1 and all(shape[1:] == (2, 3) for shape in calls)
+    assert batch.nodes_used == sum(shape[0] for shape in calls)
+    for j in np.ndindex(s.shape):
+        one = integrate_panels(_narrow_peak(s[j]), 0.0, b[j[1]], tol=1e-11)
+        assert abs(batch.value[j] - one.value) <= 4 * EPS * one.value
+        assert batch.nodes_used >= one.nodes_used
+        # the error estimates are differences at rounding level for the
+        # rows done in the first round, so they agree only in size
+        assert batch.abs_error_estimate[j] <= 1e-11 * one.value
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError),
+                                        (np.inf, NonFiniteError),
+                                        ("jump", AccuracyError)])
+def test_pair_rule_one_bad_row_raises_for_the_batch(bad, error):
+    # row 2 has a non-finite node, or a jump that no panel count under the
+    # cap resolves; the other rows are constant
+    def f(r):
+        vals = np.ones_like(r)
+        if bad == "jump":
+            vals[:, 2] = (r[:, 2] > 0.3)
+        else:
+            vals[40, 2] = bad
+        return vals
+
+    with pytest.raises(error):
+        integrate_panels(f, 0.0, np.ones(4), tol=1e-11)
 
 
 def test_a_squared_integral_maps_only_non_finite_values_to_domain_error():
