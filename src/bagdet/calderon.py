@@ -115,44 +115,54 @@ def q_principal(rep: GammaRep, n, xi) -> np.ndarray:
                   @ slash(rep.gammas, n))
 
 
+def _riesz_circle(eigs: np.ndarray):
+    """Center and radius, per row of the ``S + (k,)`` eigenvalue stack, of
+    a circle around the eigenvalues with Im < 0: their mean, 1.5 x their
+    spread, kept inside the nearest other eigenvalue."""
+    neg = eigs.imag < 0.0
+    center = np.true_divide(np.where(neg, eigs, 0.0).sum(axis=-1),
+                            neg.sum(axis=-1))
+    dist = np.abs(eigs - center[..., None])
+    spread = np.max(np.where(neg, dist, 0.0), axis=-1)
+    gap = np.min(np.where(neg, np.inf, dist), axis=-1)
+    excluded = ~neg.all(axis=-1)
+    radius = 1.5 * spread
+    radius = np.where(excluded & (radius == 0.0), 0.5 * gap, radius)
+    radius = np.where(excluded & (radius >= gap), 0.5 * (spread + gap),
+                      radius)
+    radius = np.where(radius == 0.0, 0.5 * np.maximum(np.abs(center), 1.0),
+                      radius)
+    return center, radius
+
+
 def _riesz_projector_contour(a_mat: np.ndarray, circle=None) -> np.ndarray:
     """Clockwise Riesz integral (1/2 pi i) oint (A - z)^{-1} dz around the
     eigenvalues of A with Im < 0, by the periodic trapezoid rule on 256
-    nodes.  Raises ContourError if an eigenvalue lies within 1e-8 x radius
-    of the circle."""
+    nodes, for one ``(k, k)`` matrix or each of an ``S + (k, k)`` stack
+    (one solve on ``(256,) + S + (k, k)``).  Raises ContourError if a row
+    has no such eigenvalue or one lies within 1e-8 x radius of its circle."""
     eigs = np.linalg.eigvals(a_mat)
-    selected = eigs[eigs.imag < 0.0]
-    excluded = eigs[eigs.imag >= 0.0]
-    if selected.size == 0:
+    if not np.any(eigs.imag < 0.0, axis=-1).all():
         raise ContourError("no eigenvalues with negative imaginary part")
     if circle is None:
-        center = selected.mean()
-        spread = np.max(np.abs(selected - center)) if selected.size > 1 else 0.0
-        radius = 1.5 * spread
-        if excluded.size:
-            gap = np.min(np.abs(excluded - center))
-            radius = max(radius, 0.5 * gap) if radius == 0.0 else radius
-            if radius >= gap:
-                radius = 0.5 * (spread + gap)
-        if radius == 0.0:
-            radius = 0.5 * max(abs(center), 1.0)
+        center, radius = _riesz_circle(eigs)
     else:
-        center, radius = circle
-    dists = np.abs(np.abs(eigs - center) - radius)
-    if np.min(dists) < 1e-8 * radius:
+        center, radius = (np.broadcast_to(v, eigs.shape[:-1]) for v in circle)
+    dists = np.abs(np.abs(eigs - center[..., None]) - radius[..., None])
+    if np.any(np.min(dists, axis=-1) < 1e-8 * radius):
         raise ContourError(
             "eigenvalue within 1e-08 x radius of the contour; "
             "adjust the circle")
-    eye = np.eye(a_mat.shape[0], dtype=complex)
+    eye = np.eye(a_mat.shape[-1], dtype=complex)
 
     def resolvent(z):
-        return np.linalg.solve(a_mat - z[:, None, None] * eye, eye)
+        return np.linalg.solve(a_mat - z[..., None, None] * eye, eye)
 
     return contour_closed(resolvent, center, radius, orientation=-1,
                           n=256) / (2j * np.pi)
 
 
-def q_lambda_contour(a1, x, xi, lam: complex, circle=None) -> np.ndarray:
+def q_lambda_contour(a1, x, xi, lam, circle=None) -> np.ndarray:
     """Spectral-parameter projector symbol by numerical contour quadrature.
 
     ``a1`` is the degree-one symbol, called as ``a1(x, t, xi, tau, lam)``
@@ -160,6 +170,13 @@ def q_lambda_contour(a1, x, xi, lam: complex, circle=None) -> np.ndarray:
     ``a1(x,0;0,1;0)^{-1} a1(x,0;xi,0;lam)`` and the contour is a clockwise
     circle around its eigenvalues with negative imaginary part, integrated
     on 256 nodes.
+
+    ``x``, ``xi`` and ``lam`` broadcast to a batch shape S, giving an
+    ``S + (k, k)`` stack whose row ``j`` equals the scalar call: one pair
+    of ``a1`` evaluations, one ``inv``, one ``eigvals`` and one solve on
+    ``(256,) + S + (k, k)``.  Each row picks its own circle (an explicit
+    ``circle = (center, radius)`` applies to every row), and one row with
+    an eigenvalue on its circle raises ContourError for the whole batch.
     """
     eval_a1 = getattr(a1, "eval", a1)
     normal = np.linalg.inv(eval_a1(x, 0.0, 0.0, 1.0, 0.0))

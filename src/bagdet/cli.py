@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, asdict
@@ -320,17 +321,51 @@ def _run_ellipticity(cfg: RunConfig) -> int:
     return 0 if disk_report.passed else 2
 
 
+@functools.cache
+def _verify_samples() -> dict:
+    """The verify suite's problem-independent draws from default_rng(2024),
+    made once per process: per check, a tuple of read-only arrays.
+
+    The ``pde_residual`` radii are in units of R.
+    """
+    rng = np.random.default_rng(2024)
+
+    def sign():
+        return (-1.0, 1.0)[rng.integers(0, 2)]
+
+    draws = {}
+    draws["q_idempotent"] = tuple(np.array([
+        (rng.uniform(0, 2 * np.pi), sign() * rng.uniform(0.5, 3.0))
+        for _ in range(200)]).T)
+    theta, xi, lam_re, lam_im = np.array([
+        (rng.uniform(0, 2 * np.pi), sign() * rng.uniform(0.5, 2.0),
+         rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for _ in range(12)]).T
+    draws["q_lambda_match"] = (theta, xi, lam_re + 1j * lam_im)
+    theta, t, u, xi, lam_re, lam_im = np.array([
+        (rng.uniform(0, 2 * np.pi), *rng.uniform(0.05, 1.0, size=2),
+         sign() * rng.uniform(0.6, 2.0),
+         rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        for _ in range(20)]).T
+    draws["d_tilde_match"] = (theta, t, u, xi, lam_re + 1j * lam_im)
+    draws["pde_residual"] = tuple(np.array([
+        (rng.uniform(0.2, 0.7), rng.uniform(0, 2 * np.pi),
+         rng.uniform(0.2, 0.7), rng.uniform(0, 2 * np.pi))
+        for _ in range(5)]).T)
+    for arrays in draws.values():
+        for a in arrays:
+            a.flags.writeable = False
+    return draws
+
+
 def _verify_checks(cfg: RunConfig):
     """All cross-checks as (name, value, tolerance) triples."""
     problem = cfg.problem()
     rep = make_rep_2d()
-    rng = np.random.default_rng(2024)
+    draws = _verify_samples()
     checks = []
 
-    theta, xi = np.array([
-        (rng.uniform(0, 2 * np.pi),
-         (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(0.5, 3.0))
-        for _ in range(200)]).T
+    theta, xi = draws["q_idempotent"]
     n = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     tangent = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
     q = calderon.q_principal(rep, n, xi[:, None] * tangent)
@@ -338,23 +373,13 @@ def _verify_checks(cfg: RunConfig):
                   float(np.max(np.abs(np.trace(q, axis1=-2, axis2=-1) - 1.0))))
     checks.append(("q_idempotent", worst_q, cfg.tol("q_idempotent")))
 
-    a1 = seeley.a1_symbol(rep)
-    worst = 0.0
-    for _ in range(12):
-        theta = rng.uniform(0, 2 * np.pi)
-        xi = (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(0.5, 2.0)
-        lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        closed = calderon.disk_q_lambda(theta, xi, lam)
-        contour = calderon.q_lambda_contour(a1, theta, xi, lam)
-        worst = max(worst, float(np.max(np.abs(closed - contour))))
-    checks.append(("q_lambda_match", worst, cfg.tol("q_lambda_match")))
+    theta, xi, lam = draws["q_lambda_match"]
+    closed = calderon.disk_q_lambda(theta, xi, lam)
+    contour = calderon.q_lambda_contour(seeley.a1_symbol(rep), theta, xi, lam)
+    checks.append(("q_lambda_match", float(np.max(np.abs(closed - contour))),
+                   cfg.tol("q_lambda_match")))
 
-    theta, t, u, xi, lam_re, lam_im = np.array([
-        (rng.uniform(0, 2 * np.pi), *rng.uniform(0.05, 1.0, size=2),
-         (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(0.6, 2.0),
-         rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        for _ in range(20)]).T
-    lam = lam_re + 1j * lam_im
+    theta, t, u, xi, lam = draws["d_tilde_match"]
     closed = seeley.d_tilde_minus1(theta, t, u, xi, lam, problem.w)
     oracle = seeley.d_tilde_minus1_contour(theta, t, u, xi, lam, problem.w)
     scale = np.maximum(np.max(np.abs(closed), axis=(-2, -1)), 1e-30)
@@ -366,16 +391,14 @@ def _verify_checks(cfg: RunConfig):
     checks.append(("boundary_residual",
                    greens.boundary_residual(problem, samples),
                    cfg.tol("boundary_residual")))
-    worst = 0.0
-    for _ in range(5):
-        x = PlanePoint(rng.uniform(0.2, 0.7) * problem.R,
-                       rng.uniform(0, 2 * np.pi))
-        y = PlanePoint(rng.uniform(0.2, 0.7) * problem.R,
-                       rng.uniform(0, 2 * np.pi))
-        if abs(x.X - y.X) < 0.2 * problem.R:
-            continue
-        worst = max(worst, greens.pde_residual(problem, x, y))
-    checks.append(("pde_residual", worst, cfg.tol("pde_residual")))
+    r_x, theta_x, r_y, theta_y = draws["pde_residual"]
+    x = PlanePoint(r_x * problem.R, theta_x)
+    y = PlanePoint(r_y * problem.R, theta_y)
+    # pairs closer than 0.2 R sit near the pole of G_B and are skipped
+    apart = np.abs(x.X - y.X) >= 0.2 * problem.R
+    x, y = (PlanePoint(pt.r[apart], pt.theta[apart]) for pt in (x, y))
+    checks.append(("pde_residual", greens.pde_residual(problem, x, y),
+                   cfg.tol("pde_residual")))
     _, _, sing_rel = greens.diagonal_singularity_coefficient(
         problem, 0.55 * problem.R, 1.2)
     checks.append(("singularity_rel", sing_rel, cfg.tol("singularity_rel")))

@@ -214,22 +214,29 @@ def pde_residual(p: DiskProblem, x: PlanePoint, y: PlanePoint,
     Applies i gamma_mu d_mu + alpha Aslash with fourth-order central
     stencils of step h (default 1e-4 R); away from x = y the residual is
     pure truncation error.
+
+    ``x`` and ``y`` may be stacks of points that broadcast to a batch
+    shape S; the result is the largest residual over the stack (0.0 for
+    an empty one) and equals the max of the per-pair calls.  The
+    ``(8,) + S`` stencil and G_B(x, y) take one ``disk_green`` call each.
     """
     if h is None:
         h = 1e-4 * p.R
-    x0, x1 = x.xy
-    steps = h * np.array([-2.0, -1.0, 1.0, 2.0])
+    batch = np.broadcast_shapes(np.shape(x.X), np.shape(y.X))
+    x0, x1 = (np.broadcast_to(c, (4,) + batch) for c in x.xy)
+    steps = (h * np.array([-2.0, -1.0, 1.0, 2.0])).reshape(
+        (4,) + (1,) * len(batch))
     # four nodes along x0, then four along x1
-    stencil = PlanePoint.from_xy(np.r_[x0 + steps, np.full(4, x0)],
-                                 np.r_[np.full(4, x1), x1 + steps])
-    f = disk_green(p, stencil, y).reshape(2, 4, 2, 2)
+    stencil = PlanePoint.from_xy(np.concatenate([x0 + steps, x0]),
+                                 np.concatenate([x1, x1 + steps]))
+    f = disk_green(p, stencil, y).reshape((2, 4) + batch + (2, 2))
     d0, d1 = (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * h)
     g0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     g1 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-    a0c, a1c = gauge_vector(p.gauge, x)
+    a0c, a1c = gauge_vector(p.gauge, x)[..., None, None]
     residual = 1j * (g0 @ d0 + g1 @ d1) \
         + p.alpha * (a0c * g0 + a1c * g1) @ disk_green(p, x, y)
-    return float(np.max(np.abs(residual)))
+    return float(np.max(np.abs(residual), initial=0.0))
 
 
 @dataclass

@@ -25,8 +25,8 @@ __all__ = ["poly2", "gaussian", "polynomial", "make_profile", "PROFILES"]
 def poly2(phi0, R) -> GaugeField:
     """phi(r) = phi0 (1 - r^2/R^2); flux 4 pi phi0."""
     return GaugeField(
-        phi=lambda r: phi0 * (1.0 - r ** 2 / R ** 2),
-        dphi=lambda r: -2.0 * phi0 * r / R ** 2,
+        phi=lambda r: phi0 * (1.0 - r * r / (R * R)),
+        dphi=lambda r: -2.0 * phi0 * r / (R * R),
         R=R, name="poly2")
 
 
@@ -48,8 +48,8 @@ def gaussian(phi0, s, R) -> GaugeField:
             "the int A.A quadrature", s, PANELS_MIN_FEATURE,
             PANELS_MIN_FEATURE * np.asarray(R))
     return GaugeField(
-        phi=lambda r: phi0 * np.exp(-r ** 2 / s ** 2),
-        dphi=lambda r: -2.0 * phi0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2),
+        phi=lambda r: phi0 * np.exp(-r * r / (s * s)),
+        dphi=lambda r: -2.0 * phi0 * r / (s * s) * np.exp(-r * r / (s * s)),
         R=R, name="gaussian")
 
 

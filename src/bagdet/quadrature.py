@@ -221,38 +221,45 @@ def contour_closed(f, center: complex, radius: float, orientation: int = 1,
     For integrands analytic in a neighborhood of the circle the rule
     converges spectrally in ``n`` (Trefethen & Weideman, SIAM Rev. 2014).
 
+    ``center`` and ``radius`` may be arrays that broadcast to one batch
+    shape S, one circle per row; every row uses the same ``n`` angles and
+    row ``j`` of a matrix-valued integral equals the scalar call on
+    circle ``j``.
+
     Parameters
     ----------
     f : callable
-        Batched integrand: receives all ``n`` nodes as one complex array
-        of shape ``(n,)`` and returns an array of shape ``(n, ...)``, one
-        scalar or matrix per node (matrix values are summed entrywise).
+        Batched integrand: receives all nodes as one complex array of
+        shape ``(n,) + S``, node axis first, and returns an array of shape
+        ``(n,) + S + (...)``, one scalar or matrix per node (matrix values
+        are summed entrywise).
     orientation : int
         +1 for counterclockwise, -1 for clockwise.
 
     Returns
     -------
     complex or ndarray
-        The sum over the nodes, of shape ``(...)``.
+        The sum over the nodes, of shape ``S + (...)``.
 
     Raises
     ------
     ValueError
         If ``f`` returns a non-finite value at any node.
     """
-    if radius <= 0:
+    if np.any(np.less_equal(radius, 0)):
         raise ValueError("radius must be positive")
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    theta = _circle_angles(n)
+    batch = np.broadcast_shapes(np.shape(center), np.shape(radius))
+    theta = _circle_angles(n).reshape((n,) + (1,) * len(batch))
     z = center + radius * np.exp(1j * orientation * theta)
     dz = 1j * orientation * (z - center) * (2 * np.pi / n)
     vals = np.asarray(f(z), dtype=complex)
-    terms = vals * dz.reshape((n,) + (1,) * (vals.ndim - 1))
+    terms = vals * dz.reshape(dz.shape + (1,) * (vals.ndim - dz.ndim))
     bad = ~np.isfinite(terms)
     if bad.any():
-        raise ValueError(
-            f"integrand not finite at z = {z[np.nonzero(bad)[0][0]]}")
+        node = tuple(np.argwhere(bad)[0][:z.ndim])
+        raise ValueError(f"integrand not finite at z = {z[node]}")
     total = terms.sum(axis=0)
     if total.ndim == 0:
         return complex(total)

@@ -292,7 +292,14 @@ def d_tilde_minus1_contour(theta, t, u, xi, lam, w) -> np.ndarray:
     the e^{-i tau u} kernel with decay in u, on tau = -i s + (|s|/2) zeta,
     |zeta| = 1, by the periodic trapezoid rule of
     :func:`~bagdet.quadrature.contour_closed`: one ``d_minus1`` call on
-    the 512 zeta nodes of all inputs.
+    the 128 zeta nodes of all inputs.
+
+    The nearest other pole, tau = +i s, lies 4 circle radii from the
+    center, so the rule converges like 4^-n; at 128 nodes the relative
+    error is at rounding (<= 1e-14) for u |s| < 8.  Beyond that the
+    e^{-i tau u} kernel varies by e^{u |s| / 2} around the circle and the
+    sum cancels: the error is about eps e^{u |s| / 2} (~1e-13 at
+    u |s| = 16, ~1e-9 at 32, ~1e-2 at 64) whatever the node count.
     """
     s = decay_root(xi, lam)
     half = 0.5 * np.abs(s)
@@ -303,7 +310,7 @@ def d_tilde_minus1_contour(theta, t, u, xi, lam, w) -> np.ndarray:
         return _expand(np.exp(-1j * tau * u) * half) * d_minus1(
             theta, t, xi, tau, lam, w)
 
-    return -contour_closed(integrand, 0.0, 1.0, n=512)
+    return -contour_closed(integrand, 0.0, 1.0, n=128)
 
 
 def compose_symbols_check(a_list, c_list, order: int, samples) -> float:

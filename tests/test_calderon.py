@@ -34,6 +34,43 @@ def test_q_lambda_contour_makes_at_most_one_batched_solve(monkeypatch):
     assert all(shape == (256, 2, 2) for shape in calls)
 
 
+def test_q_lambda_contour_batch_rows_equal_scalar_calls(monkeypatch):
+    rng = np.random.default_rng(23)
+    theta = rng.uniform(0, 2 * np.pi, size=12)
+    xi = rng.choice([-1.0, 1.0], size=12) * rng.uniform(0.8, 1.2, size=12)
+    lam = rng.uniform(-0.3, 0.3, size=12) + 1j * rng.uniform(-0.3, 0.3, 12)
+    a1 = a1_symbol(make_rep_2d())
+    calls = []
+    inner = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return inner(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    # each row's own circle, then one explicit circle around -i for all
+    for circle in (None, (-1j, 0.5)):
+        calls.clear()
+        batch = q_lambda_contour(a1, theta, xi, lam, circle=circle)
+        assert calls == [(256, 12, 2, 2)]
+        assert batch.shape == (12, 2, 2)
+        for j in range(12):
+            one = q_lambda_contour(a1, theta[j], xi[j], lam[j], circle=circle)
+            assert np.array_equal(batch[j], one), j
+    # a scalar angle broadcasts against the stacked xi and lam
+    batch = q_lambda_contour(a1, 0.4, xi, lam)
+    assert np.array_equal(batch[5], q_lambda_contour(a1, 0.4, xi[5], lam[5]))
+
+
+def test_q_lambda_contour_one_bad_row_fails_the_batch():
+    a1 = a1_symbol(make_rep_2d())
+    # xi = 1, lam = 0 puts the eigenvalues -+i on the unit circle
+    xi = np.array([2.0, 1.0, 3.0])
+    with pytest.raises(ContourError):
+        q_lambda_contour(a1, 0.0, xi, 0.0, circle=(0.0, 1.0))
+    q_lambda_contour(a1, 0.0, xi[[0, 2]], 0.0, circle=(0.0, 1.0))
+
+
 def test_q_principal_2d_heaviside():
     rep = make_rep_2d()
     n, t = tangent_frame(0.0)

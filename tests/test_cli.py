@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bagdet import determinant
+from bagdet import cli, determinant, greens, seeley
 from bagdet.cli import (DEFAULT_TOLERANCES, SWEEP_BLOCK, RunConfig,
                         build_config, main)
 from bagdet.greens import DiskProblem
@@ -161,6 +161,63 @@ def test_verify_zero_gauge_passes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     assert abs(payload["determinant"]["total_re"]) < 1e-12
+
+
+def test_verify_runs_each_check_as_one_batched_call(monkeypatch, tmp_path):
+    # guards against per-sample loops in verify: one Riesz solve over the
+    # 12 q_lambda samples, one d_minus1 call over the 20 d_tilde samples,
+    # the stencil and G_B of the pde pairs in two disk_green calls, and
+    # the fixed samples drawn once per process
+    solves, d_calls, green_calls, seeds = [], [], [], []
+    in_pde = []
+    inner = {"solve": np.linalg.solve, "d_minus1": seeley.d_minus1,
+             "disk_green": greens.disk_green,
+             "pde_residual": greens.pde_residual,
+             "default_rng": np.random.default_rng}
+
+    def solve(a, b):
+        solves.append(np.shape(a))
+        return inner["solve"](a, b)
+
+    def d_minus1(theta, t, xi, tau, lam, w):
+        d_calls.append(np.shape(tau))
+        return inner["d_minus1"](theta, t, xi, tau, lam, w)
+
+    def disk_green(p, x, y):
+        if in_pde:
+            green_calls.append(np.broadcast_shapes(np.shape(x.X),
+                                                   np.shape(y.X)))
+        return inner["disk_green"](p, x, y)
+
+    def pde_residual(*args, **kwargs):
+        in_pde.append(True)
+        try:
+            return inner["pde_residual"](*args, **kwargs)
+        finally:
+            in_pde.pop()
+
+    def default_rng(*args, **kwargs):
+        seeds.append(args[0] if args else None)
+        return inner["default_rng"](*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(seeley, "d_minus1", d_minus1)
+    monkeypatch.setattr(greens, "disk_green", disk_green)
+    monkeypatch.setattr(greens, "pde_residual", pde_residual)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    cli._verify_samples.cache_clear()
+    argv = ["--mode", "verify", "--w", "0.8+0.3j", "--profile", "poly2",
+            "--params", "0.5", "--out", str(tmp_path / "verify.json")]
+    assert main(argv) == 0
+    assert solves == [(256, 12, 2, 2)]
+    assert d_calls == [(128, 20)]
+    assert sorted(green_calls) == [(5,), (8, 5)]
+    assert seeds.count(2024) == 1
+    seeds.clear()
+    assert main(argv) == 0
+    assert 2024 not in seeds
+    for arrays in cli._verify_samples().values():
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def test_verify_tolerance_failure_exit_code(tmp_path):

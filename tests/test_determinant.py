@@ -334,6 +334,27 @@ def test_batched_problem_runs_the_closed_forms_only():
         gaussian(0.9, 1e-3, np.array([1.0, 3.0]))
 
 
+@pytest.mark.parametrize("make", [lambda R: poly2(1.3, R),
+                                  lambda R: gaussian(0.9, 0.7, R)],
+                         ids=["poly2", "gaussian"])
+def test_scalar_run_equals_radius_sweep_row_bitwise(make):
+    # a Python-float R squares as R * R, like an array of radii, so a
+    # scalar run and its row of a radius sweep agree to the bit
+    R = np.random.default_rng(41).uniform(0.5, 2.0, size=2000)
+    w = 0.8 + 0.3j
+    for start in range(0, R.size, 128):         # the sweep's row blocks
+        block = R[start:start + 128]
+        batch = ln_det_ratio(DiskProblem(R=block, w=w, alpha=1.0,
+                                         gauge=make(block)),
+                             run_oracles=False)
+        for j, Rj in enumerate(block.tolist()):
+            one = ln_det_ratio(DiskProblem(R=Rj, w=w, alpha=1.0,
+                                           gauge=make(Rj)),
+                               run_oracles=False)
+            assert one.flux == batch.flux[j], Rj
+            assert one.boundary_term == batch.boundary_term[j], Rj
+
+
 def test_boundary_term_from_symbol_trace():
     # third route: the boundary coefficient traced against the potential
     # and integrated over the spectral contour reproduces the closed form,

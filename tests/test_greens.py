@@ -320,6 +320,29 @@ def test_pde_residual_matches_scalar_stencil():
     assert abs(pde_residual(p, x, y, h=h) - ref) <= 1e-12
 
 
+def test_pde_residual_batch_is_max_of_pair_calls(green_calls):
+    p = DiskProblem(R=1.2, w=0.7 - 0.3j, alpha=0.9,
+                    gauge=gaussian(0.8, 0.5, 1.2))
+    rng = np.random.default_rng(29)
+    r_x, th_x, r_y, th_y = rng.uniform([0.2, 0.0, 0.2, 0.0],
+                                       [0.7, 2 * np.pi, 0.7, 2 * np.pi],
+                                       size=(8, 4)).T
+    x, y = PlanePoint(r_x * p.R, th_x), PlanePoint(r_y * p.R, th_y)
+    assert np.all(np.abs(x.X - y.X) >= 0.2 * p.R)
+    worst = pde_residual(p, x, y)
+    assert sorted(green_calls) == [(8,), (8, 8)]
+    pairs = [pde_residual(p, PlanePoint(x.r[j], x.theta[j]),
+                          PlanePoint(y.r[j], y.theta[j])) for j in range(8)]
+    assert worst == max(pairs)
+    # one point against a stack, and the empty stack
+    one_x = PlanePoint(x.r[0], x.theta[0])
+    assert pde_residual(p, one_x, y) == max(
+        pde_residual(p, one_x, PlanePoint(y.r[j], y.theta[j]))
+        for j in range(8))
+    empty = PlanePoint(np.empty(0), np.empty(0))
+    assert pde_residual(p, empty, empty) == 0.0
+
+
 def test_singularity_cancellation_matches_scalar_richardson():
     p = standard_problem(w=0.9, alpha=0.6, phi0=0.7)
     theta0, delta0, levels = 0.7, 1e-2, 3

@@ -153,6 +153,33 @@ def test_contour_receives_all_nodes_at_once():
     assert calls == [(48,)]
 
 
+def test_contour_batch_rows_equal_scalar_calls():
+    # one circle per row; a vector-valued integrand sums each row in the
+    # node order of the scalar call, so the rows agree to the bit
+    center = np.array([0.0, 0.3 - 0.2j, -1.0, 2.0j])
+    radius = np.array([1.0, 0.5, 2.0, 0.25])
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        return np.stack([1.0 / (z - 0.1), np.exp(z), z * z], axis=-1)
+
+    for orientation in (1, -1):
+        batch = contour_closed(f, center, radius, orientation, n=64)
+        assert batch.shape == (4, 3)
+        for j in range(4):
+            one = contour_closed(f, center[j], radius[j], orientation, n=64)
+            assert np.array_equal(batch[j], one)
+    assert calls[0] == (64, 4)
+    # a scalar integrand agrees to rounding, and a scalar center broadcasts
+    g = lambda z: 1.0 / (z - 0.1)
+    batch = contour_closed(g, 0.0, radius, n=64)
+    one = [contour_closed(g, 0.0, r, n=64) for r in radius]
+    np.testing.assert_allclose(batch, one, rtol=1e-15, atol=1e-15)
+    with pytest.raises(ValueError, match="positive"):
+        contour_closed(g, center, np.array([1.0, 0.5, 0.0, 1.0]), n=64)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_contour_rejects_one_nonfinite_node(bad):
     def f(z):

@@ -315,14 +315,65 @@ def test_d_tilde_contour_makes_one_batched_d_minus1_call(monkeypatch):
 
     monkeypatch.setattr(seeley, "d_minus1", counting)
     d_tilde_minus1_contour(0.3, 0.2, 0.4, 1.1, 0.2 + 0.1j, 0.9 + 0.2j)
-    assert calls == [(512,)]
-    # 20 inputs share one call on 512 x 20 nodes
+    assert calls == [(128,)]
+    # 20 inputs share one call on 128 x 20 nodes
     rng = np.random.default_rng(73)
     xi = rng.uniform(0.6, 2.0, size=20)
     lam = rng.uniform(-0.8, 0.8, size=20) + 1j * rng.uniform(-0.8, 0.8, 20)
     out = d_tilde_minus1_contour(0.3, 0.2, 0.4, xi, lam, 0.9 + 0.2j)
     assert out.shape == (20, 2, 2)
-    assert calls == [(512,), (512, 20)]
+    assert calls == [(128,), (128, 20)]
+
+
+def _d_tilde_on_nodes(n, theta, t, u, xi, lam, w):
+    """The tau integral of d_tilde_minus1_contour on n nodes, for 1-d
+    arrays of inputs."""
+    s = seeley.decay_root(xi, lam)
+    half = 0.5 * np.abs(s)
+
+    def integrand(zeta):
+        tau = -1j * s + half * zeta[:, None]
+        return (np.exp(-1j * tau * u) * half)[..., None, None] * d_minus1(
+            theta, t, xi, tau, lam, w)
+
+    return -quadrature.contour_closed(integrand, 0.0, 1.0, n=n)
+
+
+def test_d_tilde_contour_node_count():
+    # the far pole tau = +i s sits 4 radii from the center: 128 nodes reach
+    # rounding where the e^{-i tau u} kernel stays moderate (u |s| < 8);
+    # beyond that the sum cancels and more nodes do not help
+    rng = np.random.default_rng(17)
+    n = 2000
+    xi = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 10.0, n)
+    lam = (0.9 * np.abs(xi) * np.sqrt(rng.uniform(0.0, 1.0, n))
+           * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n)))
+    u = np.exp(rng.uniform(np.log(0.01), np.log(6.0), n))
+    t, theta = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2 * np.pi, n)
+    w = np.exp(rng.uniform(np.log(0.25), np.log(4.0), n)
+               + 1j * rng.uniform(-np.pi, np.pi, n))
+    args = (theta, t, u, xi, lam, w)
+    closed = d_tilde_minus1(*args)
+    scale = np.max(np.abs(closed), axis=(-2, -1))
+    err = {}
+    for nodes in (128, 512):
+        oracle = np.concatenate([
+            _d_tilde_on_nodes(nodes, *(a[k:k + 250] for a in args))
+            for k in range(0, n, 250)])
+        err[nodes] = np.max(np.abs(closed - oracle), axis=(-2, -1)) / scale
+    # the helper is the oracle's own rule at 128 nodes
+    head = [a[:40] for a in args]
+    assert np.array_equal(_d_tilde_on_nodes(128, *head),
+                          d_tilde_minus1_contour(*head))
+    us = u * np.abs(seeley.decay_root(xi, lam))
+    assert np.max(err[128][us < 8.0]) <= 1e-14
+    for lo, hi in ((8.0, 16.0), (16.0, 32.0)):
+        band = (us >= lo) & (us < hi)
+        assert band.sum() >= 50
+        assert np.max(err[128][band]) <= 10 * np.max(err[512][band]) + 1e-14
+    band = (us >= 8.0) & (us < 32.0)
+    floor = 4 * np.finfo(float).eps * np.exp(us[band] / 2)
+    assert np.all(err[128][band] <= floor) and np.all(err[512][band] <= floor)
 
 
 def test_d_tilde_mit_bag_zero_lambda():
