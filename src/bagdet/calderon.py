@@ -19,7 +19,7 @@ imaginary part.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,7 +275,7 @@ class EllipticityReport:
     passed: bool = True
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), default=_json_default, indent=2)
+        return json.dumps(vars(self), default=_json_default, indent=2)
 
 
 def _json_default(obj):
@@ -347,7 +347,7 @@ class AgmonConeReport:
         return self.condition1_passed and self.condition2_passed
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), default=_json_default, indent=2)
+        return json.dumps(vars(self), default=_json_default, indent=2)
 
 
 def check_agmon_cone(bc: BoundaryCondition, sectors) -> AgmonConeReport:

@@ -289,25 +289,27 @@ def d_tilde_minus1_contour(theta, t, u, xi, lam, w) -> np.ndarray:
         -oint e^{-i tau u} d_{-1}(theta, t; xi, tau; lambda) dtau
 
     taken counterclockwise around the pole tau = -i s, the one that pairs
-    the e^{-i tau u} kernel with decay in u, on tau = -i s + (|s|/2) zeta,
+    the e^{-i tau u} kernel with decay in u, on tau = -i s + rho zeta,
     |zeta| = 1, by the periodic trapezoid rule of
     :func:`~bagdet.quadrature.contour_closed`: one ``d_minus1`` call on
     the 128 zeta nodes of all inputs.
 
-    The nearest other pole, tau = +i s, lies 4 circle radii from the
-    center, so the rule converges like 4^-n; at 128 nodes the relative
-    error is at rounding (<= 1e-14) for u |s| < 8.  Beyond that the
-    e^{-i tau u} kernel varies by e^{u |s| / 2} around the circle and the
-    sum cancels: the error is about eps e^{u |s| / 2} (~1e-13 at
-    u |s| = 16, ~1e-9 at 32, ~1e-2 at 64) whatever the node count.
+    The radius is rho = (|s|/2) / max(1, u |s| / 4) = min(|s|/2, 2/u).
+    The nearest other pole, tau = +i s, lies at least 4 radii from the
+    center, so the rule converges like 4^-n.  The e^{-i tau u} kernel
+    varies by e^{rho u} <= e^2 around the circle; on a circle of radius
+    |s|/2 it would vary by e^{u |s| / 2} and the sum would cancel, to a
+    relative error of about eps e^{u |s| / 2}.  At 128 nodes the relative
+    error is at rounding (<= 1e-14) for u |s| up to 64 at least.
     """
     s = decay_root(xi, lam)
-    half = 0.5 * np.abs(s)
+    abs_s = np.abs(s)
+    rho = 0.5 * abs_s / np.maximum(1.0, u * abs_s / 4)
     ndim = len(np.broadcast_shapes(*map(np.shape, (theta, t, u, xi, lam))))
 
     def integrand(zeta):
-        tau = -1j * s + half * zeta.reshape(zeta.shape + (1,) * ndim)
-        return _expand(np.exp(-1j * tau * u) * half) * d_minus1(
+        tau = -1j * s + rho * zeta.reshape(zeta.shape + (1,) * ndim)
+        return _expand(np.exp(-1j * tau * u) * rho) * d_minus1(
             theta, t, xi, tau, lam, w)
 
     return -contour_closed(integrand, 0.0, 1.0, n=128)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -138,6 +139,80 @@ def test_sweep_makes_one_int_a_a_call_per_block(monkeypatch, tmp_path, name):
         assert len(calls) == 1
     else:
         assert 1 < len(calls) <= math.ceil(960 / SWEEP_BLOCK)
+
+
+def _csv_writer_text(rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _assert_same_text(got: str, expected: str) -> None:
+    # pytest's diff of two long strings takes minutes; name the first
+    # differing character instead
+    same = got == expected
+    at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+              min(len(got), len(expected)))
+    assert same, (at, got[at - 20:at + 20], expected[at - 20:at + 20])
+
+
+def test_csv_rows_match_csv_writer():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e15, 1e16, -1e16, 1e-5, 1e22,
+              1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5]
+    v = np.array(values)
+    table = np.column_stack([v, -v, v[::-1]])
+    assert cli._csv_rows(table) == [_csv_writer_text(table.tolist())]
+    row = np.array([values])
+    assert cli._csv_rows(row) == [_csv_writer_text(row.tolist())]
+    # one string per block of SWEEP_BLOCK rows
+    tall = np.tile(table, (30, 1))
+    blocks = cli._csv_rows(tall)
+    assert [b.count("\r\n") for b in blocks] == [SWEEP_BLOCK] * 3 + [6]
+    _assert_same_text("".join(blocks), _csv_writer_text(tall.tolist()))
+
+
+@pytest.mark.parametrize("n", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK,
+                               SWEEP_BLOCK + 1, 960])
+@pytest.mark.parametrize("name", ["w", "phi0"])
+def test_sweep_csv_bytes(tmp_path, capsys, name, n):
+    out = tmp_path / "sweep.csv"
+    args = ["--mode", "sweep", "--sweep", _grid(name, np.geomspace(0.3, 3, n))]
+    assert main(args + ["--out", str(out)]) == 0
+    text = out.read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert len(rows) == n + 1 and rows[0] == [name, *determinant.CSV_FIELDS]
+    # repr round-trips, so csv.writer on the parsed floats gives the bytes
+    # back exactly when the file is in csv.writer's format
+    _assert_same_text(text, _csv_writer_text(
+        [rows[0]] + [[float(x) for x in row] for row in rows[1:]]))
+    capsys.readouterr()
+    assert main(args) == 0
+    _assert_same_text(capsys.readouterr().out,
+                      text + f"swept {name} over {n} values\n")
+
+
+@pytest.mark.parametrize("w, columns", [("0.8", 11), ("-0.5", 10)])
+def test_determinant_csv_bytes(tmp_path, capsys, w, columns):
+    # off its sheet (Re w < 0) the boundary oracle does not run, so
+    # boundary_oracle_rel has no column
+    out = tmp_path / "det.csv"
+    args = ["--mode", "determinant", "--format", "csv", "--w", w]
+    assert main(args + ["--out", str(out)]) == 0
+    result = determinant.ln_det_ratio(build_config(args).problem())
+    expected = _csv_writer_text([result.csv_header(), result.csv_row()])
+    assert len(result.csv_header()) == columns
+    assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith(expected + "bulk = ")
+
+
+@pytest.mark.parametrize("name", ["radius", "phi0"])
+def test_sweep_failing_in_a_later_block_writes_nothing(tmp_path, name):
+    out = tmp_path / "sweep.csv"
+    assert main(["--mode", "sweep", "--sweep", _grid(name, _with_bad(np.nan)),
+                 "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_imaginary_w_spellings_agree(tmp_path):
@@ -358,8 +433,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 # One run of each mode; the output name gets the mode's index.
 _MODE_RUNS = (
     "[['--mode', 'sweep', '--sweep', 'w=0.5,2'],\n"
-    " ['--mode', 'determinant'], ['--mode', 'verify'],\n"
-    " ['--mode', 'ellipticity']]")
+    " ['--mode', 'determinant'], ['--mode', 'determinant', '--format', 'csv'],\n"
+    " ['--mode', 'verify'], ['--mode', 'ellipticity']]")
 
 
 def _run_every_mode(tmp_path, before="", after_each=""):
@@ -380,8 +455,10 @@ def _run_every_mode(tmp_path, before="", after_each=""):
 
 
 def test_no_mode_imports_scipy(tmp_path):
+    # nor csv: CSV text is formatted by cli itself
     _run_every_mode(tmp_path, after_each=(
-        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "    loaded = [m for m in sys.modules\n"
+        "              if m.split('.')[0] in ('scipy', 'csv', '_csv')]\n"
         "    assert not loaded, (args, loaded)\n"))
 
 
