@@ -258,13 +258,7 @@ def _run_determinant(cfg: RunConfig) -> int:
     return 0
 
 
-# Rows per ln_det_ratio call of a sweep over radius or phi0: int A.A runs
-# on all of them at once, and at this size its reductions stay small
-# single-threaded BLAS calls.  A sweep over w leaves int A.A and the flux
-# as they are, so it runs as one block.  The CSV text is made as soon as
-# the rows are, SWEEP_BLOCK rows to a string, and nothing is written until
-# every block has run, so a sweep that fails in a later block writes no
-# output.
+# Rows per string of a sweep's CSV text (see _csv_rows).
 SWEEP_BLOCK = 128
 
 
@@ -289,23 +283,22 @@ def _run_sweep(cfg: RunConfig) -> int:
     if cfg.sweep_spec is None:
         raise ValueError("sweep mode needs --sweep name=v1,v2,...")
     name, values = cfg.sweep_spec
-    step = len(values) if name == "w" else SWEEP_BLOCK
-    chunks = [",".join([name, *determinant.CSV_FIELDS]) + "\r\n"]
-    for start in range(0, len(values), step):
-        block = np.array(values[start:start + step], dtype=float)
-        radius, w, params = cfg.radius, cfg.w, list(cfg.profile_params)
-        if name == "w":
-            w = block.astype(complex)
-        elif name == "radius":
-            radius = block
-        elif name == "phi0":
-            params[0] = block
-        gauge = make_profile(cfg.profile, params, radius)
-        problem = DiskProblem(R=radius, w=w, alpha=cfg.alpha, gauge=gauge)
-        r = determinant.ln_det_ratio(problem, run_oracles=False)
-        chunks.extend(_csv_rows(np.column_stack(
-            [block] + [np.broadcast_to(c, block.shape) for c in r.values()])))
-    _write_text(cfg.output_path, *chunks)
+    grid = np.array(values, dtype=float)
+    radius, w, params = cfg.radius, cfg.w, list(cfg.profile_params)
+    if name == "w":
+        w = grid.astype(complex)
+    elif name == "radius":
+        radius = grid
+    elif name == "phi0":
+        params[0] = grid
+    gauge = make_profile(cfg.profile, params, radius)
+    problem = DiskProblem(R=radius, w=w, alpha=cfg.alpha, gauge=gauge)
+    r = determinant.ln_det_ratio(problem, run_oracles=False)
+    table = np.column_stack(
+        [grid] + [np.broadcast_to(c, grid.shape) for c in r.values()])
+    _write_text(cfg.output_path,
+                ",".join([name, *determinant.CSV_FIELDS]) + "\r\n",
+                *_csv_rows(table))
     print(f"swept {name} over {len(values)} values")
     return 0
 

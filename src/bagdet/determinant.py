@@ -10,9 +10,10 @@ parameter.  Integrating the coupling from 0 to 1,
         = -(1/2 pi) int_disk A.A d^2x - (1/4 pi) ln w^2 oint A . dx.
 
 Every closed form here is shadowed by an independent numerical route:
-radial quadrature vs. a Bessel-kernel limit for the first bulk term, a
-spectral-plane contour integral for the second, and both a contour and a
-real-axis quadrature for the boundary term.
+radial quadrature for the profile's closed form of int A.A, a
+Bessel-kernel limit for the first bulk term, a spectral-plane contour
+integral for the second, and both a contour and a real-axis quadrature
+for the boundary term.
 
 The spectral contour runs down the right side of the positive imaginary
 axis, circles the origin clockwise, and returns up the left side; the
@@ -44,12 +45,12 @@ __all__ = [
     "gamma_log_contour",
     "flux",
     "a_squared_integral",
+    "a_squared_quadrature",
     "bulk_c2_term",
     "bulk_c2_bessel_oracle",
     "bulk_log_term",
     "boundary_term",
     "boundary_contour_oracle",
-    "dW_dalpha",
     "ln_det_ratio",
     "residue_check",
     "singularity_cancellation_check",
@@ -202,38 +203,47 @@ def flux(gauge: GaugeField):
 def a_squared_integral(gauge: GaugeField) -> QuadratureResult:
     """int_disk A.A d^2x = 2 pi int_0^R A_theta(r)^2 r dr.
 
+    The profile's closed form ``gauge.a_squared``, with error estimate 0;
+    a profile without one goes to :func:`a_squared_quadrature`.
+    """
+    value = gauge.a_squared
+    if value is None:
+        return a_squared_quadrature(gauge)
+    value = value if np.ndim(value) else float(value)
+    return QuadratureResult(value=value, abs_error_estimate=0.0 * value,
+                            nodes_used=0)
+
+
+def a_squared_quadrature(gauge: GaugeField) -> QuadratureResult:
+    """int_disk A.A d^2x of one profile by quadrature, the oracle of the
+    closed forms.
+
     The radial integrand is smooth and non-negative on [0, R] for every
     profile, so it goes to the Gauss-Legendre pair rule
     :func:`~bagdet.quadrature.integrate_panels` (16 and 32 points per
     panel, relative tolerance 1e-11): the value is the 32-point estimate
     and the error estimate ``2 pi sum |I_32 - I_16|`` over the accepted
-    panels.  A batch of profiles is one call of the rule, with one row
-    per element of the batch shape of A_theta(R); value and error
-    estimate are arrays of that shape.
+    panels.
 
     Raises DomainError if A_theta^2 or the integral overflows or is not
-    finite in any row.
+    finite.
     """
     try:
         with np.errstate(over="raise"):
-            # R in the batch shape of A_theta, which the profile's
-            # parameters may widen
-            rows = np.shape(gauge.a_theta(gauge.R))
-            R = np.broadcast_to(gauge.R, rows) if rows else gauge.R
-            res = integrate_panels(lambda r: gauge.a_theta(r) ** 2 * r, 0.0, R,
-                                   tol=1e-11)
+            res = integrate_panels(lambda r: gauge.a_theta(r) ** 2 * r, 0.0,
+                                   gauge.R, tol=1e-11)
             value = 2.0 * np.pi * res.value
     except (OverflowError, FloatingPointError, NonFiniteError) as exc:
         raise DomainError(
             f"int A.A d^2x overflows or is not finite: {exc}") from exc
-    return QuadratureResult(value=value if rows else float(value),
+    return QuadratureResult(value=float(value),
                             abs_error_estimate=2.0 * np.pi * res.abs_error_estimate,
                             nodes_used=res.nodes_used)
 
 
 def bulk_c2_term(gauge: GaugeField, alpha: float) -> float:
     """First bulk contribution -(alpha/2 pi) int A.A d^2x, with the integral
-    from :func:`a_squared_integral` (tolerance 1e-11)."""
+    from :func:`a_squared_integral`."""
     return float(-alpha / (2.0 * np.pi) * a_squared_integral(gauge).value.real)
 
 
@@ -412,25 +422,6 @@ def boundary_contour_oracle(w: complex, flux_value: float,
     raise ValueError(f"unknown route {route!r}")
 
 
-def dW_dalpha(p: DiskProblem) -> complex:
-    """Derivative of the log-determinant along the coupling family.
-
-    Sum of the two bulk terms (each carrying a factor alpha) and the
-    alpha-independent boundary term:
-
-        dW/dalpha = -(alpha/pi) int A.A d^2x - (Phi/4 pi) ln w^2.
-
-    The contributions that would come from the Green function singularity
-    and its interior counterterm cancel exactly; see
-    :func:`singularity_cancellation_check` for the verification of that
-    cancellation.
-    """
-    c2 = bulk_c2_term(p.gauge, p.alpha)
-    logt = bulk_log_term(p.gauge, p.alpha)
-    bnd = boundary_term(p.w, flux(p.gauge))
-    return c2 + logt + bnd
-
-
 @dataclass
 class DeterminantResult:
     """Final determinant ratio with its oracle residuals.
@@ -475,11 +466,14 @@ def ln_det_ratio(p: DiskProblem, run_oracles: bool = True) -> DeterminantResult:
 
         total = -(1/2 pi) int A.A d^2x - (Phi/4 pi) ln w^2.
 
-    With ``run_oracles`` a 16-point Gauss-Legendre quadrature of dW/dalpha
-    over the coupling, the second-bulk contour route on the default
-    :class:`ContourSpec`, the Bessel-kernel route and (for admissible w)
-    the boundary quadrature are all evaluated and their residuals reported
-    in ``diagnostics``.
+    With ``run_oracles`` the pair rule on int A.A
+    (:func:`a_squared_quadrature`), a 16-point Gauss-Legendre quadrature
+    of dW/dalpha over the coupling, the second-bulk contour route on the
+    default :class:`ContourSpec`, the Bessel-kernel route and (for
+    admissible w) the boundary quadrature are all evaluated and their
+    residuals reported in ``diagnostics``.  ``a_squared_abs_err`` is then
+    |closed form - pair rule| + the pair rule's error estimate, and
+    without the oracles the estimate of :func:`a_squared_integral`.
 
     Without the oracles ``p`` may be a batch of problems (see
     :class:`~bagdet.greens.DiskProblem`): every value of the result, and
@@ -498,6 +492,9 @@ def ln_det_ratio(p: DiskProblem, run_oracles: bool = True) -> DeterminantResult:
     elif run_oracles:
         raise ValueError("the oracles need a scalar problem")
     if run_oracles:
+        pair = a_squared_quadrature(p.gauge)
+        diag["a_squared_abs_err"] = (abs(asq.value - pair.value)
+                                     + pair.abs_error_estimate)
         c2_unit = bulk_c2_term(p.gauge, 1.0)
         log_unit = bulk_log_term(p.gauge, 1.0)
         ref = max(abs(c2_unit), 1e-14)

@@ -1,8 +1,9 @@
 """Named analytic gauge profiles.
 
 Each factory returns a :class:`~bagdet.seeley.GaugeField` carrying the
-profile and its exact derivative; the flux therefore needs no numerical
-differentiation.  Every ``phi`` and ``dphi`` takes a scalar or an array
+profile, its exact derivative and int A.A d^2x in closed form; neither
+the flux nor the bulk term needs numerical differentiation or adaptive
+quadrature.  Every ``phi`` and ``dphi`` takes a scalar or an array
 of radii.  ``R`` and every profile parameter may also be arrays that
 broadcast together, which gives one batch of profiles (see
 :class:`~bagdet.seeley.GaugeField`); every check runs on every row, and
@@ -16,56 +17,79 @@ import math
 import numpy as np
 
 from .errors import require
-from .quadrature import PANELS_MIN_FEATURE
+from .quadrature import PANELS_MIN_FEATURE, integrate_polynomial
 from .seeley import GaugeField
 
 __all__ = ["poly2", "gaussian", "polynomial", "make_profile", "PROFILES"]
 
 
 def poly2(phi0, R) -> GaugeField:
-    """phi(r) = phi0 (1 - r^2/R^2); flux 4 pi phi0."""
+    """phi(r) = phi0 (1 - r^2/R^2); flux 4 pi phi0, int A.A d^2x
+    2 pi phi0^2."""
+    with np.errstate(over="ignore"):
+        a_squared = 2.0 * np.pi * (phi0 * phi0)
     return GaugeField(
         phi=lambda r: phi0 * (1.0 - r * r / (R * R)),
         dphi=lambda r: -2.0 * phi0 * r / (R * R),
-        R=R, name="poly2")
+        R=R, name="poly2", a_squared=a_squared)
+
+
+# Taylor coefficients (-1)^k (k - 1)/k! of 1 - (1 + X) e^-X, k = 21 down
+# to 2; on X < 1 the first term left out is below 1e-20 of the sum.
+_GAUSSIAN_SERIES = [(-1) ** k * (k - 1) / math.factorial(k)
+                    for k in range(21, 1, -1)]
 
 
 def gaussian(phi0, s, R) -> GaugeField:
     """phi(r) = phi0 exp(-r^2/s^2), for widths ``s >= PANELS_MIN_FEATURE R``
     (5e-4 R).
 
-    The int A.A rule resolves the peak at r = 0 down to that width; below
-    it every first-round node can fall where A_theta^2 has underflowed to
-    0 and the rule would return 0, so such widths raise DomainError.
+    int A.A d^2x = pi phi0^2 [1 - (1 + X) e^-X] with X = 2 R^2/s^2, the
+    bracket by its Taylor series below X = 1, where -expm1(-X) - X e^-X
+    would lose ~2/X ulp.  The pair rule, this form's oracle, resolves the
+    peak at r = 0 down to the smallest width; below it every first-round
+    node can see A_theta^2 underflowed to 0 and the rule would return 0,
+    so such widths raise DomainError.
     """
     with np.errstate(all="ignore"):
         s2 = np.multiply(s, s)
-        ok = (np.greater(s, 0.0) & (s2 > 0.0)) & (s2 < math.inf)
+        ok = (np.greater(s, 0.0) & (s2 >= 2.0 ** -1022)) & (s2 < math.inf)
         wide = np.logical_not(np.less(s, PANELS_MIN_FEATURE * np.asarray(R)))
-    require(ok, "gaussian width {} is not positive or its square under- or "
-            "overflows", s)
+        x = 2.0 * np.square(np.divide(R, s))
+        bracket = np.where(x < 1.0, x * x * np.polyval(_GAUSSIAN_SERIES, x),
+                           -np.expm1(-x) - x * np.exp(-x))
+        a_squared = (np.pi * (phi0 * phi0) * bracket)[()]
+    require(ok, "gaussian width {} is not positive or its square is "
+            "subnormal or overflows", s)
     require(wide, "gaussian width {} is below {:g} R = {:g}, too narrow for "
             "the int A.A quadrature", s, PANELS_MIN_FEATURE,
             PANELS_MIN_FEATURE * np.asarray(R))
     return GaugeField(
         phi=lambda r: phi0 * np.exp(-r * r / (s * s)),
         dphi=lambda r: -2.0 * phi0 * r / (s * s) * np.exp(-r * r / (s * s)),
-        R=R, name="gaussian")
+        R=R, name="gaussian", a_squared=a_squared)
 
 
 def polynomial(coeffs, R) -> GaugeField:
     """phi(r) = sum_k c_k r^k with user coefficients (low order first).
 
     The coefficients broadcast together; ``dphi`` uses only c_1, c_2, ...,
-    so a batch that varies c_0 alone has a scalar A_theta.
+    so a batch that varies c_0 alone has a scalar A_theta.  int A.A d^2x
+    comes from a rule exact for A_theta^2 r, of degree 2K - 3 for K
+    coefficients.
     """
     coeffs = list(coeffs)
     dcoeffs = [k * c for k, c in enumerate(coeffs[1:], start=1)] or [0.0]
     c, dc = (np.array(np.broadcast_arrays(*cs)) for cs in (coeffs, dcoeffs))
     polyval = np.polynomial.polynomial.polyval
+    with np.errstate(all="ignore"):
+        b = np.broadcast_to(R, np.broadcast_shapes(np.shape(R), dc.shape[1:]))
+        a_squared = 2.0 * np.pi * integrate_polynomial(
+            lambda r: polyval(r, dc, tensor=False) ** 2 * r, 0.0, b[()],
+            degree=2 * len(coeffs) - 3)
     return GaugeField(phi=lambda r: polyval(r, c, tensor=False),
                       dphi=lambda r: polyval(r, dc, tensor=False),
-                      R=R, name="polynomial")
+                      R=R, name="polynomial", a_squared=a_squared)
 
 
 def make_profile(name: str, params, R) -> GaugeField:

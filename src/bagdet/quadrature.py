@@ -9,7 +9,9 @@ It has four rules:
 - fixed Gauss-Legendre rules (:func:`gauss_legendre_panel`,
   :func:`integrate_gauss_legendre`);
 - the Gauss-Legendre pair rule with panel bisection
-  (:func:`integrate_panels`) for smooth integrands on finite ranges.
+  (:func:`integrate_panels`) for smooth integrands on one finite range,
+  and its polished 32-point rule alone (:func:`integrate_polynomial`),
+  which integrates polynomials exactly up to rounding.
 
 It also holds the split Bessel integral of the bulk oracle and the
 private Bessel and Hankel functions that it and ``seeley.k_nu_bessel``
@@ -34,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, NonFiniteError, every
+from .errors import AccuracyError, NonFiniteError
 
 __all__ = [
     "QuadratureResult",
@@ -44,6 +46,7 @@ __all__ = [
     "gauss_legendre_panel",
     "integrate_gauss_legendre",
     "integrate_panels",
+    "integrate_polynomial",
     "PANELS_MIN_FEATURE",
     "j2_over_u_integral",
 ]
@@ -315,10 +318,12 @@ def _legendre(x, n: int):
     return p1, n * (x * p1 - p0) / (x * x - 1)
 
 
+@functools.lru_cache(maxsize=8)
 def _polished_rule(n: int):
     """The n-point Gauss-Legendre rule of :func:`_gauss_legendre_rule`
     with its nodes polished by one Newton step and its weights
-    2 / ((1 - x^2) P_n'(x)^2) recomputed, both in 34-digit decimals.
+    2 / ((1 - x^2) P_n'(x)^2) recomputed, both in 34-digit decimals;
+    built once per order and process, read-only.
 
     NumPy's 32-point weights are up to ~500 ulp off, which moves a
     32-point value by up to 11 ulp; these reproduce the moments of
@@ -330,7 +335,10 @@ def _polished_rule(n: int):
         p, dp = _legendre(x, n)
         x = x - p / dp
         _, dp = _legendre(x, n)
-        return x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
+        out = x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -340,137 +348,83 @@ def _pair_rule():
     x_n, w_n = _polished_rule(_PAIR_N)
     x_2n, w_2n = _polished_rule(2 * _PAIR_N)
     nodes = np.concatenate([x_n, x_2n])
-    for arr in (nodes, w_n, w_2n):
-        arr.flags.writeable = False
+    nodes.flags.writeable = False
     return nodes, w_n, w_2n
 
 
-def integrate_panels(f, a, b, tol: float) -> QuadratureResult:
+def integrate_polynomial(f, a, b, degree: int):
+    """int_a^b f for a polynomial ``f`` of the given degree, exact up to
+    rounding, by the polished rule of the pair rule: 32 points up to
+    degree 63, where a scalar range gives bit for bit the 2n-point
+    estimate of the first round of :func:`integrate_panels`, and just
+    enough points beyond.  ``a`` and ``b`` are scalars or arrays of one
+    batch shape S; ``f`` receives the nodes as one array of shape
+    ``(m,) + S`` and returns one value per node.
+    """
+    x, w = _polished_rule(max(2 * _PAIR_N, degree // 2 + 1))
+    half = 0.5 * (b - a)
+    x = x.reshape(x.shape + (1,) * np.ndim(half))
+    vals = np.asarray(f(0.5 * (b + a) + half * x))
+    return half * (np.moveaxis(vals, 0, -1) @ w)
+
+
+def integrate_panels(f, a: float, b: float, tol: float) -> QuadratureResult:
     """Gauss-Legendre pair rule on [a, b] with panel bisection, for
     integrands that do not change sign.
 
-    ``a`` and ``b`` are scalars or arrays that broadcast to one batch
-    shape S, and row j of the batch is the integral on [a_j, b_j].  Each
-    round calls ``f`` once, on the n- and 2n-point nodes (n = 16) of every
-    open panel, as one array of shape ``(m,) + S`` with the node axis
-    first, so parameters of shape S broadcast against it; ``f`` returns
-    one value per node.  A panel is accepted when its two estimates agree
-    to its share (its width over b - a) of ``tol |I|``, with ``I`` the
-    current estimate of the row's whole integral; the other panels are
-    bisected.  The test is purely relative, so a small integral is
-    resolved as finely as a large one, and an integrand that is 0 at every
-    node is accepted at once.  The value is the sum of the accepted
-    2n-point estimates and the error estimate the sum of their
-    ``|I_2n - I_n|``, both of shape S.  A smooth integrand is done after
-    the first round, on one panel.  A peak at an end of the range is
-    resolved down to a width of ``PANELS_MIN_FEATURE (b - a)``.
-
-    The rows that fail the first round are refined on one panel tree,
-    the panels taken as fractions of each row's range, and every row
-    accepts panels on its own test and ignores the children of a panel it
-    has accepted; ``nodes_used`` counts the nodes per row of that tree.
-    Row j of a batch is the scalar call on [a_j, b_j] up to the rounding
-    of the sums over nodes and panels.
+    Each round calls ``f`` once, on the n- and 2n-point nodes (n = 16) of
+    every open panel as one 1-D array, and ``f`` returns one value per
+    node.  A panel is accepted when its two estimates agree to its share
+    (its width over b - a) of ``tol |I|``, with ``I`` the current estimate
+    of the whole integral; the other panels are bisected.  The test is
+    purely relative, so a small integral is resolved as finely as a large
+    one, and an integrand that is 0 at every node is accepted at once.
+    The value is the sum of the accepted 2n-point estimates and the error
+    estimate the sum of their ``|I_2n - I_n|``.  A smooth integrand is
+    done after the first round, on one panel.  A peak at an end of the
+    range is resolved down to a width of ``PANELS_MIN_FEATURE (b - a)``.
 
     Raises
     ------
     NonFiniteError
-        If ``f`` returns a non-finite value at any node of a row's open
-        panels; one bad row raises for the whole batch.
+        If ``f`` returns a non-finite value at any node of an open panel.
     AccuracyError
-        If accepting every panel of some row would take more than 64
-        panels; the estimates so far are attached.
+        If accepting every panel would take more than 64 panels; the
+        estimates so far are attached.
     """
-    shape = np.broadcast(a, b).shape
-    if shape:
-        a, b = (np.broadcast_to(v, shape).ravel() for v in (a, b))
-    ordered = a < b
-    if not every(ordered):
-        raise ValueError(f"need a < b, got [{_first(ordered, a)}, "
-                         f"{_first(ordered, b)}]")
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
     nodes, w_n, w_2n = _pair_rule()
     n = _PAIR_N
-    # puts a 1-D array along axis 0, before the axis of rows of a batch
-    axis0 = (slice(None), None) if shape else slice(None)
-
-    def call(x):
-        return np.asarray(f(x.reshape((-1,) + shape))).reshape(x.shape)
-
-    def result(value, err, nodes_used):
-        if shape:
-            return QuadratureResult(value=value.reshape(shape),
-                                    abs_error_estimate=err.reshape(shape),
-                                    nodes_used=nodes_used)
-        return QuadratureResult(value=value[()], abs_error_estimate=float(err),
-                                nodes_used=nodes_used)
-
     half = 0.5 * (b - a)
-    vals = call(0.5 * (b + a) + half * nodes[axis0])
-    i_n = half * (w_n @ vals[:n])
-    i_2n = half * (w_2n @ vals[n:])
-    diff = abs(i_2n - i_n)
-    finite = np.isfinite(diff)
-    if not every(finite):
-        raise NonFiniteError("integrand not finite on "
-                             f"[{_first(finite, a)}, {_first(finite, b)}]")
-    done = diff <= tol * abs(i_2n)
-    if every(done):
-        return result(i_2n, diff, 3 * n)
-
-    # open panels along axis 0, rows after it; live[p, j]: row j still
-    # needs panel p
-    total, err = np.where(done, i_2n, 0.0), np.where(done, diff, 0.0)
-    halves = np.broadcast_to(0.5 * half, (2,) + np.shape(half)).copy()
-    mids = a + halves * np.array([1.0, 3.0])[axis0]
-    live = np.broadcast_to(~done, halves.shape).copy()
-    panels, evaluated = 1, 1
+    # the open panels, by midpoint and half-width
+    mids, halves = np.array([0.5 * (b + a)]), np.array([half])
+    total = err = 0.0
+    panels = evaluated = 0
     while True:
-        panels = panels + live.sum(axis=0)
-        evaluated += mids.shape[0]
-        vals = call(mids[:, None] + halves[:, None] * nodes[axis0])
-        if shape:
-            vals = np.moveaxis(vals, 1, -1)
-        i_n = halves * (vals[..., :n] @ w_n)
-        i_2n = halves * (vals[..., n:] @ w_2n)
+        panels += mids.size
+        evaluated += mids.size
+        x = mids[:, None] + halves[:, None] * nodes
+        vals = np.asarray(f(x.ravel())).reshape(x.shape)
+        i_n = halves * (vals[:, :n] @ w_n)
+        i_2n = halves * (vals[:, n:] @ w_2n)
         diff = abs(i_2n - i_n)
-        finite = np.isfinite(diff) | ~live
-        if not finite.all():
-            raise NonFiniteError("integrand not finite on [{}, {}]".format(
-                _first(finite.all(axis=0), a), _first(finite.all(axis=0), b)))
-        estimate = total + _masked_sum(i_2n, live)
-        ok = live & (diff <= halves / half * tol * abs(estimate))
-        total = total + _masked_sum(i_2n, ok)
-        err = err + _masked_sum(diff, ok)
-        split = live & ~ok
-        if not split.any():
-            return result(total, err, 3 * n * evaluated)
-        keep = split.any(axis=1) if shape else split
-        mids, halves, live = mids[keep], 0.5 * halves[keep], split[keep]
-        over = panels + 2 * live.sum(axis=0) > _MAX_PANELS
-        if over.any():
+        if not np.isfinite(diff).all():
+            raise NonFiniteError(f"integrand not finite on [{a}, {b}]")
+        estimate = total + i_2n.sum()
+        ok = diff <= halves / half * tol * abs(estimate)
+        total = total + i_2n[ok].sum()
+        err = err + diff[ok].sum()
+        if ok.all():
+            return QuadratureResult(value=total, abs_error_estimate=float(err),
+                                    nodes_used=3 * n * evaluated)
+        mids, halves = mids[~ok], 0.5 * halves[~ok]
+        if panels + 2 * mids.size > _MAX_PANELS:
             raise AccuracyError(
                 f"pair rule did not converge within {_MAX_PANELS} panels",
-                estimate=np.reshape(estimate, shape)[()],
-                abs_error=np.reshape(err + _masked_sum(diff, split),
-                                     shape)[()])
+                estimate=estimate, abs_error=float(err + diff[~ok].sum()))
         mids = np.concatenate([mids - halves, mids + halves])
         halves = np.concatenate([halves, halves])
-        live = np.concatenate([live, live])
-
-
-def _first(ok, x):
-    """``x`` at the first row where ``ok`` fails."""
-    return np.ravel(x)[np.flatnonzero(~np.asarray(ok))[0]]
-
-
-def _masked_sum(x, mask):
-    """Sum of ``x`` over the panels (axis 0) where ``mask`` holds, per row.
-
-    One row (1-D ``x``) sums the selected panels in order, as a scalar
-    run always has; a batch adds zeros in place of the others."""
-    if x.ndim == 1:
-        return x[mask].sum()
-    return np.where(mask, x, 0.0).sum(axis=0)
 
 
 def j2_over_u_integral(split: float, tol: float = 1e-11,

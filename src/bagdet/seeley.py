@@ -72,19 +72,30 @@ class GaugeField:
     that broadcast together, of batch shape S; ``phi`` and ``dphi`` then
     take radii of shape ``(m,) + S`` (or S) and broadcast.  The batch
     shape of A_theta is that of ``dphi(R)``.
+
+    ``a_squared`` is int_disk A.A d^2x in closed form, computed once with
+    the batch shape of its parameters, or ``None`` where there is none;
+    DomainError if it is not finite.
     """
 
     phi: Callable
     dphi: Callable
     R: float | np.ndarray
     name: str = ""
+    a_squared: float | np.ndarray | None = None
 
     def __post_init__(self):
         with np.errstate(all="ignore"):
+            # a subnormal R^2 (below 2^-1022) keeps too few digits for a
+            # dphi that divides by it: 1e-5 relative at R = 1e-160
             r2 = np.multiply(self.R, self.R)
-            ok = (np.greater(self.R, 0.0) & (r2 > 0.0)) & (r2 < math.inf)
-        require(ok, "disk radius {} is not positive or its square under- "
-                "or overflows", self.R)
+            ok = ((np.greater(self.R, 0.0) & (r2 >= 2.0 ** -1022))
+                  & (r2 < math.inf))
+        require(ok, "disk radius {} is not positive or its square is "
+                "subnormal or overflows", self.R)
+        if self.a_squared is not None:
+            require(np.isfinite(self.a_squared), "int A.A d^2x = {} overflows "
+                    "or is not finite", self.a_squared)
 
     def a_theta(self, r):
         return -self.dphi(r)

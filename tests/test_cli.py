@@ -25,8 +25,7 @@ def _grid(name, values):
 
 
 def _with_bad(bad, n=300, at=200):
-    """A grid of n values in [0.5, 2] with ``bad`` at index ``at``, in the
-    second block of rows of a radius or phi0 sweep."""
+    """A grid of n values in [0.5, 2] with ``bad`` at index ``at``."""
     grid = np.linspace(0.5, 2.0, n)
     grid[at] = bad
     return grid
@@ -122,23 +121,42 @@ def test_sweep_rows_match_determinant_calls(tmp_path, name, profile, params,
 
 @pytest.mark.parametrize("name", ["w", "radius", "phi0"])
 def test_sweep_makes_one_int_a_a_call_per_block(monkeypatch, tmp_path, name):
-    # guards against a per-row loop: int A.A runs once for a w sweep, once
-    # per block of rows for a radius or phi0 sweep
+    # guards against a per-row loop: the whole grid is one block, one
+    # ln_det_ratio call, whose int A.A is the profile's closed form
     calls = []
-    inner = determinant.integrate_panels
+    for fn in ("ln_det_ratio", "a_squared_integral"):
+        monkeypatch.setattr(determinant, fn, lambda *args, fn=fn,
+                            inner=getattr(determinant, fn), **kwargs:
+                            calls.append(fn) or inner(*args, **kwargs))
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+    def no_pair_rule(*args, **kwargs):
+        raise AssertionError("a sweep runs no int A.A quadrature")
 
-    monkeypatch.setattr(determinant, "integrate_panels", counting)
+    monkeypatch.setattr(determinant, "integrate_panels", no_pair_rule)
     grid = np.linspace(0.5, 2.0, 960)
-    assert main(["--mode", "sweep", "--sweep", _grid(name, grid),
-                 "--out", str(tmp_path / "sweep.csv")]) == 0
-    if name == "w":
-        assert len(calls) == 1
-    else:
-        assert 1 < len(calls) <= math.ceil(960 / SWEEP_BLOCK)
+    for profile, params in (("poly2", "1.3"), ("gaussian", "1.1,0.4"),
+                            ("polynomial", "0.3,0.1,-1.2")):
+        calls.clear()
+        assert main(["--mode", "sweep", "--sweep", _grid(name, grid),
+                     "--profile", profile, "--params", params,
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert calls == ["ln_det_ratio", "a_squared_integral"]
+
+
+def test_poly2_sweep_row_past_the_quadrature_overflow_is_exact(tmp_path):
+    # at R = 2e-154, phi0 = 2 the pair rule's A_theta^2 = (2 phi0 r/R^2)^2
+    # overflows but 2 pi phi0^2 and R^2 do not, so the sweep row is the
+    # closed form; --mode determinant still exits 3, because its int A.A
+    # oracle overflows
+    out = tmp_path / "sweep.csv"
+    assert main(["--mode", "sweep", "--sweep", "radius=2e-154,1.0",
+                 "--params", "2", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    for row in rows[1:]:
+        assert float(row[1]) == -4.0
+        assert float(row[6]) == pytest.approx(8.0 * math.pi, rel=4 * EPS)
+    assert main(["--mode", "determinant", "--radius", "2e-154",
+                 "--params", "2"]) == 3
 
 
 def _csv_writer_text(rows) -> str:
@@ -329,8 +347,8 @@ def test_domain_error_exit_code():
     ["--radius", "1e-200"],               # R^2 underflows to 0
     ["--radius", "1e200"],                # R^2 overflows
     ["--mode", "sweep", "--sweep", "radius=1,1e200"],
-    ["--radius", "1e-160"],               # A_theta^2 overflows in int A.A
-    # one bad value in the second block of rows of a sweep
+    ["--radius", "1e-160"],               # R^2 is subnormal
+    # one bad value among the rows of a sweep
     ["--mode", "sweep", "--sweep", _grid("w", _with_bad(np.nan))],
     ["--mode", "sweep", "--sweep", _grid("w", _with_bad(1e200))],
     ["--mode", "sweep", "--sweep", _grid("radius", _with_bad(np.nan))],
@@ -383,7 +401,7 @@ def test_negative_value_after_a_space_exit_code(flags):
     ["--profile", "gaussian", "--params", "1e160,0.5"],
     ["--profile", "polynomial", "--params", "0,1e160"],
     ["--mode", "sweep", "--sweep", "phi0=1,1e160"],
-    # one bad value in the second block of rows of a sweep
+    # one bad value among the rows of a sweep
     ["--mode", "sweep", "--sweep", _grid("phi0", _with_bad(np.nan))],
     ["--mode", "sweep", "--sweep", _grid("phi0", _with_bad(1e160))],
     ["--profile", "gaussian", "--params", "1,1e-3", "--mode", "sweep",

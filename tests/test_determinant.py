@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from bagdet.clifford import polar_gammas
 from bagdet.determinant import (ContourSpec, a_squared_integral,
                                 boundary_contour_oracle,
                                 boundary_term, bulk_c2_bessel_oracle,
-                                bulk_c2_term, bulk_log_term, dW_dalpha, flux,
+                                bulk_c2_term, bulk_log_term, flux,
                                 gamma_log_contour, ln_det_ratio, log_branch,
                                 residue_check, singularity_cancellation_check)
 from bagdet.errors import BranchError, ContourError, DomainError
@@ -169,15 +170,6 @@ def test_boundary_antiderivative_identity():
         assert abs(bracket(0.0) - (-np.log(w * w))) < 1e-12
 
 
-def test_dW_dalpha_values():
-    # at alpha = 0 only the boundary term survives
-    p0 = standard_problem(w=np.e, alpha=0.0)
-    assert abs(dW_dalpha(p0) - (-2.0)) < 1e-9
-    # poly2 with phi0 at alpha = 1, w = 1: twice the single bulk term
-    p1 = standard_problem(w=1.0, alpha=1.0, phi0=0.8)
-    assert abs(dW_dalpha(p1) - (-2 * 0.8 ** 2)) < 1e-9
-
-
 def test_singularity_cancellation():
     p = standard_problem(w=np.e, alpha=1.0)
     out = singularity_cancellation_check(p)
@@ -335,8 +327,9 @@ def test_batched_problem_runs_the_closed_forms_only():
 
 
 @pytest.mark.parametrize("make", [lambda R: poly2(1.3, R),
-                                  lambda R: gaussian(0.9, 0.7, R)],
-                         ids=["poly2", "gaussian"])
+                                  lambda R: gaussian(0.9, 0.7, R),
+                                  lambda R: polynomial([0.3, 0.1, -1.2], R)],
+                         ids=["poly2", "gaussian", "polynomial"])
 def test_scalar_run_equals_radius_sweep_row_bitwise(make):
     # a Python-float R squares as R * R, like an array of radii, so a
     # scalar run and its row of a radius sweep agree to the bit
@@ -353,6 +346,19 @@ def test_scalar_run_equals_radius_sweep_row_bitwise(make):
                                run_oracles=False)
             assert one.flux == batch.flux[j], Rj
             assert one.boundary_term == batch.boundary_term[j], Rj
+
+
+def test_a_squared_abs_err_sees_a_closed_form_off_its_profile():
+    # the closed form is the value and the pair rule its oracle: a closed
+    # form 1% off the profile's dphi shows in a_squared_abs_err
+    gauge = gaussian(1.2, 0.4, 1.0)
+    p = DiskProblem(R=1.0, w=1.3 + 0.2j, alpha=0.6, gauge=gauge)
+    assert ln_det_ratio(p).diagnostics["a_squared_abs_err"] \
+        <= 1e-13 * gauge.a_squared
+    wrong = dataclasses.replace(gauge, a_squared=1.01 * gauge.a_squared)
+    p = DiskProblem(R=1.0, w=1.3 + 0.2j, alpha=0.6, gauge=wrong)
+    assert ln_det_ratio(p).diagnostics["a_squared_abs_err"] \
+        >= 1e-3 * wrong.a_squared
 
 
 def test_boundary_term_from_symbol_trace():

@@ -372,6 +372,18 @@ def test_gaussian_rejects_out_of_range_width(s):
         gaussian(1.0, s, 1.0)
 
 
+def test_subnormal_squares_are_rejected():
+    # dphi divides by R^2 (poly2) or s^2 (gaussian); below 2^-1022 that
+    # square keeps too few digits: poly2's flux is 1e-5 off at R = 1e-160
+    with pytest.raises(DomainError, match="disk radius"):
+        make_profile("poly2", [1.0], 1e-160)
+    with pytest.raises(DomainError, match="gaussian width"):
+        gaussian(1.0, 1e-157, 2e-154)
+    gauge = make_profile("poly2", [1.0], 1.5e-154)
+    assert determinant.flux(gauge) == pytest.approx(4.0 * np.pi, rel=1e-15)
+    gaussian(1.0, 1.5e-154, 1.5e-154)
+
+
 @st.composite
 def admissible_problems(draw):
     def fl(lo, hi):

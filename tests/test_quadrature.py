@@ -1,10 +1,11 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
 from bagdet import quadrature
-from bagdet.determinant import a_squared_integral
+from bagdet.determinant import a_squared_integral, a_squared_quadrature
 from bagdet.errors import AccuracyError, DomainError, NonFiniteError
 from bagdet.profiles import gaussian, poly2, polynomial
 from bagdet.quadrature import (PANELS_MIN_FEATURE, circle_mean,
@@ -279,53 +280,6 @@ def test_pair_rule_rejects_one_nonfinite_node(bad):
         integrate_panels(f, 0.0, 1.0, tol=1e-11)
 
 
-def _narrow_peak(s):
-    """The int A.A integrand of a Gaussian of width(s) s and amplitude 1."""
-    return lambda r: (2.0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2)) ** 2 * r
-
-
-def test_pair_rule_batch_rows_equal_scalar_calls():
-    # rows done in the first round beside rows that need ~19 panels, on
-    # their own ranges; the parameter s broadcasts against the nodes
-    s = np.array([[0.3, 1e-3, 0.5], [2e-3, 1e-3, 0.05]])
-    b = np.array([1.0, 1.0, 2.0])
-    calls = []
-
-    def f(r):
-        calls.append(r.shape)
-        return _narrow_peak(s)(r)
-
-    batch = integrate_panels(f, 0.0, np.broadcast_to(b, s.shape), tol=1e-11)
-    assert batch.value.shape == batch.abs_error_estimate.shape == (2, 3)
-    assert len(calls) > 1 and all(shape[1:] == (2, 3) for shape in calls)
-    assert batch.nodes_used == sum(shape[0] for shape in calls)
-    for j in np.ndindex(s.shape):
-        one = integrate_panels(_narrow_peak(s[j]), 0.0, b[j[1]], tol=1e-11)
-        assert abs(batch.value[j] - one.value) <= 4 * EPS * one.value
-        assert batch.nodes_used >= one.nodes_used
-        # the error estimates are differences at rounding level for the
-        # rows done in the first round, so they agree only in size
-        assert batch.abs_error_estimate[j] <= 1e-11 * one.value
-
-
-@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError),
-                                        (np.inf, NonFiniteError),
-                                        ("jump", AccuracyError)])
-def test_pair_rule_one_bad_row_raises_for_the_batch(bad, error):
-    # row 2 has a non-finite node, or a jump that no panel count under the
-    # cap resolves; the other rows are constant
-    def f(r):
-        vals = np.ones_like(r)
-        if bad == "jump":
-            vals[:, 2] = (r[:, 2] > 0.3)
-        else:
-            vals[40, 2] = bad
-        return vals
-
-    with pytest.raises(error):
-        integrate_panels(f, 0.0, np.ones(4), tol=1e-11)
-
-
 def test_a_squared_integral_maps_only_non_finite_values_to_domain_error():
     def dphi(r):
         raise ValueError("defect in the profile")
@@ -359,7 +313,58 @@ def test_a_squared_integral_matches_closed_forms(R):
          .integ()(R)),
     ]
     for gauge, exact in cases:
+        # the closed forms of the profiles and their pair-rule oracle
         assert abs(a_squared_integral(gauge).value - exact) < 1e-13 * exact
+        assert abs(a_squared_quadrature(gauge).value - exact) < 1e-13 * exact
+
+
+def _gaussian_a_squared_decimal(phi0, s, R):
+    """pi phi0^2 [1 - (1 + X) e^-X] with X = 2 R^2/s^2, in 50-digit
+    decimals from the exact values of the doubles."""
+    ctx, dec = decimal.Context(prec=50), decimal.Decimal
+    x = ctx.multiply(2, ctx.power(ctx.divide(dec(R), dec(s)), 2))
+    bracket = ctx.subtract(1, ctx.multiply(ctx.add(1, x),
+                                           ctx.exp(ctx.minus(x))))
+    pi = dec("3.1415926535897932384626433832795028841971693993751")
+    return ctx.multiply(ctx.multiply(pi, ctx.multiply(dec(phi0), dec(phi0))),
+                        bracket)
+
+
+def test_gaussian_closed_form_within_4_ulp():
+    # X = 2 R^2/s^2 from 1e-6, where -expm1(-X) - X e^-X alone would lose
+    # ~2/X ulp, up to the narrowest width; one batch and each row alone
+    rng = np.random.default_rng(19)
+    x = np.geomspace(1e-6, 7.9e6, 300)
+    R = rng.uniform(0.5, 2.0, x.size)
+    s = R * np.sqrt(2.0 / x)
+    phi0 = rng.uniform(0.2, 2.0, x.size)
+    batch = gaussian(phi0, s, R).a_squared
+    assert batch.shape == x.shape
+    for j in range(x.size):
+        exact = _gaussian_a_squared_decimal(phi0[j], s[j], R[j])
+        one = gaussian(float(phi0[j]), float(s[j]), float(R[j])).a_squared
+        for value in (batch[j], one):
+            rel = abs(decimal.Decimal(float(value)) - exact) / exact
+            assert float(rel) <= 4 * EPS, (x[j], float(rel) / EPS)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 9, 17])
+def test_polynomial_closed_form_is_the_pair_rule_bit_for_bit(K):
+    # A_theta^2 r has degree 2K - 3 <= 31, so the pair rule stops after
+    # its first round, whose 32-point estimate is the closed form
+    rng = np.random.default_rng(K)
+    for _ in range(20):
+        gauge = polynomial(rng.uniform(-3.0, 3.0, K).tolist(),
+                           float(rng.uniform(0.3, 3.0)))
+        assert gauge.a_squared == a_squared_quadrature(gauge).value
+
+
+def test_polynomial_closed_form_exact_beyond_the_32_point_rule():
+    # phi = r^99/99: A_theta^2 r = r^197 takes a 99-point rule, where the
+    # 32-point one is 6e-9 off; r^98 itself carries ~50 ulp of rounding
+    coeffs = [0.0] * 99 + [1.0 / 99.0]
+    exact = 2.0 * math.pi / 198.0
+    assert abs(polynomial(coeffs, 1.0).a_squared - exact) <= 64 * EPS * exact
 
 
 def test_gaussian_narrower_than_the_rule_resolves_is_rejected():
