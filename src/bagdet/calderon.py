@@ -53,9 +53,10 @@ RANK_REL_TOL = 1e-9
 class BoundaryCondition:
     """Local boundary condition of target rank r.
 
-    ``b(x, xi)`` returns the r x k symbol matrix; it must be homogeneous of
-    degree zero in xi for |xi| >= 1 (for multiplication operators it simply
-    ignores xi).
+    ``b(x, xi)`` returns the r x k symbol matrix, or for stacked x and xi
+    a stack of them (or one matrix for all); it must be homogeneous of
+    degree zero in xi for |xi| >= 1 (for multiplication operators it
+    simply ignores xi).
     """
 
     r: int
@@ -71,7 +72,8 @@ def disk_boundary_condition(w: complex) -> BoundaryCondition:
     w = complex(w)
 
     def b(theta, xi):
-        return np.array([[1.0, w * np.exp(-1j * theta)]], dtype=complex)
+        entry = w * np.exp(-1j * np.asarray(theta))
+        return np.stack([np.ones_like(entry), entry], axis=-1)[..., None, :]
 
     return BoundaryCondition(r=1, b=b)
 
@@ -205,14 +207,14 @@ def disk_q_lambda(theta, xi, lam) -> np.ndarray:
 
 
 def q_chiral(xi) -> np.ndarray:
-    """Chiral projector block 1/2 (Id + xi . sigma / |xi|) for xi in R^3."""
+    """Chiral projector block 1/2 (Id + xi . sigma / |xi|) for xi in R^3,
+    or a stack ``(..., 2, 2)`` for a stack ``(..., 3)`` of covectors."""
     xi = np.asarray(xi, dtype=float)
-    norm = np.linalg.norm(xi)
-    if norm == 0.0:
+    norm = np.linalg.norm(xi, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
         raise DomainError("xi must be nonzero")
-    x1, x2, x3 = xi / norm
-    return 0.5 * np.array([[1.0 + x3, x1 - 1j * x2],
-                           [x1 + 1j * x2, 1.0 - x3]], dtype=complex)
+    x1, x2, x3 = np.moveaxis(xi / norm, -1, 0)
+    return 0.5 * stack_2x2(1.0 + x3, x1 - 1j * x2, x1 + 1j * x2, 1.0 - x3)
 
 
 def chiral_obstruction_witness(beta1: complex, beta2: complex) -> np.ndarray:
@@ -292,15 +294,17 @@ def check_ellipticity(bc: BoundaryCondition, q_fn,
                       samples: Sequence) -> EllipticityReport:
     """Rank test rank(b(x;xi) q(x;xi)) = rank(q(x;xi)) over samples.
 
-    ``q_fn(x, xi)`` returns the projector symbol; samples are (x, xi)
-    pairs with |xi| >= 1.  Ranks use the scale of the factors, so an
+    Samples are (x, xi) pairs with |xi| >= 1; ``q_fn(x, xi)``, the
+    projector symbol, and ``bc.b`` are called once on all of them stacked
+    along axis 0.  Ranks use the scale of the factors, so an
     exactly-degenerate product reports a reduced rank; the report records
     the relative threshold RANK_REL_TOL.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    q = np.array([q_fn(x, xi) for x, xi in samples], dtype=complex)
-    b = np.array([bc.b(x, xi) for x, xi in samples], dtype=complex)
+    xs, xis = (np.array(v) for v in zip(*samples))
+    q = np.asarray(q_fn(xs, xis), dtype=complex)
+    b = np.asarray(bc.b(xs, xis), dtype=complex)
     ranks_bq, ranks_q = _rank_test(b, q)
     entries = [{
         "x": x if np.isscalar(x) else np.asarray(x).tolist(),

@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import require
-from .quadrature import PANELS_MIN_FEATURE, integrate_polynomial
+from .errors import DomainError, require
 from .seeley import GaugeField
 
 __all__ = ["poly2", "gaussian", "polynomial", "make_profile", "PROFILES"]
@@ -40,21 +39,25 @@ _GAUSSIAN_SERIES = [(-1) ** k * (k - 1) / math.factorial(k)
                     for k in range(21, 1, -1)]
 
 
+#: Narrowest Gaussian width over R: the int A.A oracle matches the closed
+#: form to ~1e-15 down to 8e-10 R and fails to converge at 6e-10 R.
+GAUSSIAN_MIN_WIDTH = 1e-8
+
+
 def gaussian(phi0, s, R) -> GaugeField:
-    """phi(r) = phi0 exp(-r^2/s^2), for widths ``s >= PANELS_MIN_FEATURE R``
-    (5e-4 R).
+    """phi(r) = phi0 exp(-r^2/s^2), for widths ``s >= GAUSSIAN_MIN_WIDTH R``
+    (1e-8 R).
 
     int A.A d^2x = pi phi0^2 [1 - (1 + X) e^-X] with X = 2 R^2/s^2, the
     bracket by its Taylor series below X = 1, where -expm1(-X) - X e^-X
-    would lose ~2/X ulp.  The pair rule, this form's oracle, resolves the
-    peak at r = 0 down to the smallest width; below it every first-round
-    node can see A_theta^2 underflowed to 0 and the rule would return 0,
-    so such widths raise DomainError.
+    would lose ~2/X ulp.  The double-exponential rule, this form's
+    oracle, resolves the peak at r = 0 down to the smallest width, and
+    narrower widths raise DomainError.
     """
     with np.errstate(all="ignore"):
         s2 = np.multiply(s, s)
         ok = (np.greater(s, 0.0) & (s2 >= 2.0 ** -1022)) & (s2 < math.inf)
-        wide = np.logical_not(np.less(s, PANELS_MIN_FEATURE * np.asarray(R)))
+        wide = np.logical_not(np.less(s, GAUSSIAN_MIN_WIDTH * np.asarray(R)))
         x = 2.0 * np.square(np.divide(R, s))
         bracket = np.where(x < 1.0, x * x * np.polyval(_GAUSSIAN_SERIES, x),
                            -np.expm1(-x) - x * np.exp(-x))
@@ -62,12 +65,30 @@ def gaussian(phi0, s, R) -> GaugeField:
     require(ok, "gaussian width {} is not positive or its square is "
             "subnormal or overflows", s)
     require(wide, "gaussian width {} is below {:g} R = {:g}, too narrow for "
-            "the int A.A quadrature", s, PANELS_MIN_FEATURE,
-            PANELS_MIN_FEATURE * np.asarray(R))
+            "the int A.A quadrature", s, GAUSSIAN_MIN_WIDTH,
+            GAUSSIAN_MIN_WIDTH * np.asarray(R))
     return GaugeField(
         phi=lambda r: phi0 * np.exp(-r * r / (s * s)),
         dphi=lambda r: -2.0 * phi0 * r / (s * s) * np.exp(-r * r / (s * s)),
         R=R, name="gaussian", a_squared=a_squared)
+
+
+def _int_a_a(c, R) -> float:
+    """int A.A d^2x = 2 pi sum_{j,k>=1} j k c_j c_k R^(j+k)/(j+k) for the
+    doubles c = (c_1, ..., c_n) and R: one integer over (e d^n)^2
+    lcm(2..2n), e and d the power-of-two denominators of the c_j and of R,
+    rounded once by int / int, which raises OverflowError past 2^1024."""
+    n = len(c)
+    r, d = R.as_integer_ratio()
+    pairs = [v.as_integer_ratio() for v in c]
+    e = max([q for _, q in pairs], default=1)
+    b = [j * m * (e // q) * r ** j * d ** (n - j)
+         for j, (m, q) in enumerate(pairs, start=1)]
+    lcm = math.lcm(*range(2, 2 * n + 1))
+    share = [lcm // s for s in range(2, 2 * n + 1)]     # lcm / (j + k)
+    num = sum(bj * bk * share[j + k] for j, bj in enumerate(b)
+              for k, bk in enumerate(b))
+    return 2.0 * math.pi * (num / ((e * d ** n) ** 2 * lcm))
 
 
 def polynomial(coeffs, R) -> GaugeField:
@@ -75,18 +96,21 @@ def polynomial(coeffs, R) -> GaugeField:
 
     The coefficients broadcast together; ``dphi`` uses only c_1, c_2, ...,
     so a batch that varies c_0 alone has a scalar A_theta.  int A.A d^2x
-    comes from a rule exact for A_theta^2 r, of degree 2K - 3 for K
-    coefficients.
+    is exact up to one rounding (:func:`_int_a_a`), computed row by row,
+    so a row of a batch equals its scalar profile bit for bit.
     """
     coeffs = list(coeffs)
     dcoeffs = [k * c for k, c in enumerate(coeffs[1:], start=1)] or [0.0]
     c, dc = (np.array(np.broadcast_arrays(*cs)) for cs in (coeffs, dcoeffs))
     polyval = np.polynomial.polynomial.polyval
-    with np.errstate(all="ignore"):
-        b = np.broadcast_to(R, np.broadcast_shapes(np.shape(R), dc.shape[1:]))
-        a_squared = 2.0 * np.pi * integrate_polynomial(
-            lambda r: polyval(r, dc, tensor=False) ** 2 * r, 0.0, b[()],
-            degree=2 * len(coeffs) - 3)
+    rows = np.array(np.broadcast_arrays(*coeffs[1:], R), dtype=float)
+    try:
+        a_squared = np.reshape([_int_a_a(row[:-1], row[-1]) for row in
+                                rows.reshape(len(rows), -1).T.tolist()],
+                               rows.shape[1:])[()]
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(
+            f"int A.A d^2x overflows or is not finite: {exc}") from exc
     return GaugeField(phi=lambda r: polyval(r, c, tensor=False),
                       dphi=lambda r: polyval(r, dc, tensor=False),
                       R=R, name="polynomial", a_squared=a_squared)

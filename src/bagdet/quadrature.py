@@ -1,17 +1,14 @@
 """Deterministic numerical backbone and the package's only node builder.
-It has four rules:
+It has three rules:
 
 - the double-exponential rule (:func:`integrate_adaptive`; tanh-sinh on
   finite pieces, exp-sinh on [a, inf), step halving until two levels
-  agree) for end-point singularities and half-lines;
+  agree to a relative tolerance) for end-point singularities, peaks and
+  half-lines;
 - the periodic trapezoid rule on the angles 2 pi j / n
   (:func:`contour_closed`, :func:`circle_mean`);
 - fixed Gauss-Legendre rules (:func:`gauss_legendre_panel`,
-  :func:`integrate_gauss_legendre`);
-- the Gauss-Legendre pair rule with panel bisection
-  (:func:`integrate_panels`) for smooth integrands on one finite range,
-  and its polished 32-point rule alone (:func:`integrate_polynomial`),
-  which integrates polynomials exactly up to rounding.
+  :func:`integrate_gauss_legendre`).
 
 It also holds the split Bessel integral of the bulk oracle and the
 private Bessel and Hankel functions that it and ``seeley.k_nu_bessel``
@@ -28,7 +25,6 @@ bit-identical outputs (fixed node sets, no randomized algorithms).
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -45,9 +41,6 @@ __all__ = [
     "circle_mean",
     "gauss_legendre_panel",
     "integrate_gauss_legendre",
-    "integrate_panels",
-    "integrate_polynomial",
-    "PANELS_MIN_FEATURE",
     "j2_over_u_integral",
 ]
 
@@ -122,14 +115,15 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
     1-D array of length n, and returns one (complex) value per node, as
     ``(n,)``, or one vector per node, as ``(n, k)``; a vector-valued
     integrand gives a ``(k,)`` value.  The rule stops when two levels
-    agree to ``tol max(1, |I|)`` in every component; the largest
+    agree to ``tol |I|`` in every component, a purely relative test, so
+    a small integral is resolved as finely as a large one and an
+    integrand that is 0 at every node is accepted at level 1; the largest
     difference is the error estimate, which the finer level usually
     beats by far because the error roughly squares from one level to the
-    next.  Nodes that
-    round onto an end or a break point are dropped, so ``f`` is never
-    evaluated there.  The exp-sinh map has scale 1: an integrand that
-    decays on [p, inf) on a scale far from 1 should be rescaled by the
-    caller.
+    next.  Nodes that round onto an end or a break point are dropped, so
+    ``f`` is never evaluated there.  The exp-sinh map has scale 1: an
+    integrand that decays on [p, inf) on a scale far from 1 should be
+    rescaled by the caller.
 
     Parameters
     ----------
@@ -140,7 +134,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
         Integration limits, ``a < b``; ``a`` finite, ``b`` may be
         ``numpy.inf``.
     tol : float
-        Target absolute and relative tolerance.
+        Relative tolerance of the level-to-level difference.
     points : sequence of float, optional
         Break points inside (a, b); every piece gets its own map, and all
         pieces' nodes go into the same call of ``f``.
@@ -153,42 +147,45 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
         If the levels still disagree at the last level (step 1/256); the
         finest estimate is attached to the exception.
     """
-    if not (np.isfinite(a) and a < b):
+    if not (math.isfinite(a) and a < b):
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    edges = np.array([a, *sorted(points or ()), b], dtype=float)
-    if not (np.diff(edges) > 0).all():
+    edges = [a, *sorted(points or ()), b]
+    if not all(p < q for p, q in zip(edges, edges[1:])):
         raise ValueError(f"break points {points} not inside ({a}, {b})")
     # finite pieces as columns; a last piece [p, inf) apart
-    tail = edges[-2] if np.isinf(b) else None
-    lo, hi = edges[:-1, None], edges[1:, None]
-    if tail is not None:
-        lo, hi = lo[:-1], hi[:-1]
+    tail = edges[-2] if math.isinf(b) else None
+    ends = np.array(edges[:-1] if tail is not None else edges,
+                    dtype=float)[:, None]
+    lo, hi = ends[:-1], ends[1:]
     half = 0.5 * (hi - lo)
     acc = 0.0
     nodes = 0
     for level in range(_DE_MAX_LEVEL + 1):
-        gap, upper, weight = _de_level(level, True)
-        x = np.where(upper, hi - half * gap, lo + half * gap)
-        inside = (x > lo) & (x < hi)          # drop nodes rounded onto an end
-        xs, ws = [x[inside]], [(half * weight)[inside]]
+        xs, ws = [], []
+        if lo.size:
+            gap, upper, weight = _de_level(level, True)
+            step = half * gap
+            x = np.where(upper, hi - step, lo + step)
+            inside = (x > lo) & (x < hi)      # drop nodes rounded onto an end
+            xs.append(x[inside])
+            ws.append((half * weight)[inside])
         if tail is not None:
             x, weight = _de_level(level, False)
             x = tail + x
             inside = x > tail
             xs.append(x[inside])
             ws.append(weight[inside])
-        x = np.concatenate(xs)
+        x, w = (v[0] if len(v) == 1 else np.concatenate(v) for v in (xs, ws))
         vals = np.asarray(f(x), dtype=complex)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise NonFiniteError(
-                f"integrand not finite at x = {x[np.nonzero(bad)[0][0]]}")
+        if not np.isfinite(vals).all():
+            bad = np.nonzero(~np.isfinite(vals))[0][0]
+            raise NonFiniteError(f"integrand not finite at x = {x[bad]}")
         nodes += x.size
-        acc += np.concatenate(ws) @ vals
+        acc += w @ vals
         value = 2.0 ** -level * acc
         if level:
             diff = abs(value - previous)
-            if (diff <= tol * np.maximum(abs(value), 1.0)).all():
+            if (diff <= tol * abs(value)).all():
                 return QuadratureResult(
                     value=complex(value) if value.ndim == 0 else value,
                     abs_error_estimate=float(diff.max()), nodes_used=nodes)
@@ -297,136 +294,6 @@ def integrate_gauss_legendre(f, a: float, b: float, n: int = 16) -> complex:
     return complex(0.5 * (b - a) * np.sum(weights * vals))
 
 
-# Order n of the pair rule (n and 2n points per panel) and the most panels
-# it evaluates before giving up.
-_PAIR_N = 16
-_MAX_PANELS = 64
-
-#: Narrowest peak at an end of [a, b], as a fraction of b - a, that
-#: :func:`integrate_panels` resolves with margin.  The squared Gaussian
-#: peak of int A.A is integrated to ~1e-16 down to 1e-4 (b - a); at
-#: 5e-5 (b - a) every first-round node sees it underflowed to 0, and the
-#: rule accepts 0.
-PANELS_MIN_FEATURE = 5e-4
-
-
-def _legendre(x, n: int):
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, n * (x * p1 - p0) / (x * x - 1)
-
-
-@functools.lru_cache(maxsize=8)
-def _polished_rule(n: int):
-    """The n-point Gauss-Legendre rule of :func:`_gauss_legendre_rule`
-    with its nodes polished by one Newton step and its weights
-    2 / ((1 - x^2) P_n'(x)^2) recomputed, both in 34-digit decimals;
-    built once per order and process, read-only.
-
-    NumPy's 32-point weights are up to ~500 ulp off, which moves a
-    32-point value by up to 11 ulp; these reproduce the moments of
-    [-1, 1] to under 1 ulp on every platform.
-    """
-    with decimal.localcontext(decimal.Context(prec=34)):
-        x = np.array([decimal.Decimal(float(v))
-                      for v in _gauss_legendre_rule(n)[0]], dtype=object)
-        p, dp = _legendre(x, n)
-        x = x - p / dp
-        _, dp = _legendre(x, n)
-        out = x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=1)
-def _pair_rule():
-    """Nodes of the n- and 2n-point Gauss-Legendre rules on [-1, 1], side
-    by side in one read-only ``(3n,)`` array, and the weights of each."""
-    x_n, w_n = _polished_rule(_PAIR_N)
-    x_2n, w_2n = _polished_rule(2 * _PAIR_N)
-    nodes = np.concatenate([x_n, x_2n])
-    nodes.flags.writeable = False
-    return nodes, w_n, w_2n
-
-
-def integrate_polynomial(f, a, b, degree: int):
-    """int_a^b f for a polynomial ``f`` of the given degree, exact up to
-    rounding, by the polished rule of the pair rule: 32 points up to
-    degree 63, where a scalar range gives bit for bit the 2n-point
-    estimate of the first round of :func:`integrate_panels`, and just
-    enough points beyond.  ``a`` and ``b`` are scalars or arrays of one
-    batch shape S; ``f`` receives the nodes as one array of shape
-    ``(m,) + S`` and returns one value per node.
-    """
-    x, w = _polished_rule(max(2 * _PAIR_N, degree // 2 + 1))
-    half = 0.5 * (b - a)
-    x = x.reshape(x.shape + (1,) * np.ndim(half))
-    vals = np.asarray(f(0.5 * (b + a) + half * x))
-    return half * (np.moveaxis(vals, 0, -1) @ w)
-
-
-def integrate_panels(f, a: float, b: float, tol: float) -> QuadratureResult:
-    """Gauss-Legendre pair rule on [a, b] with panel bisection, for
-    integrands that do not change sign.
-
-    Each round calls ``f`` once, on the n- and 2n-point nodes (n = 16) of
-    every open panel as one 1-D array, and ``f`` returns one value per
-    node.  A panel is accepted when its two estimates agree to its share
-    (its width over b - a) of ``tol |I|``, with ``I`` the current estimate
-    of the whole integral; the other panels are bisected.  The test is
-    purely relative, so a small integral is resolved as finely as a large
-    one, and an integrand that is 0 at every node is accepted at once.
-    The value is the sum of the accepted 2n-point estimates and the error
-    estimate the sum of their ``|I_2n - I_n|``.  A smooth integrand is
-    done after the first round, on one panel.  A peak at an end of the
-    range is resolved down to a width of ``PANELS_MIN_FEATURE (b - a)``.
-
-    Raises
-    ------
-    NonFiniteError
-        If ``f`` returns a non-finite value at any node of an open panel.
-    AccuracyError
-        If accepting every panel would take more than 64 panels; the
-        estimates so far are attached.
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    nodes, w_n, w_2n = _pair_rule()
-    n = _PAIR_N
-    half = 0.5 * (b - a)
-    # the open panels, by midpoint and half-width
-    mids, halves = np.array([0.5 * (b + a)]), np.array([half])
-    total = err = 0.0
-    panels = evaluated = 0
-    while True:
-        panels += mids.size
-        evaluated += mids.size
-        x = mids[:, None] + halves[:, None] * nodes
-        vals = np.asarray(f(x.ravel())).reshape(x.shape)
-        i_n = halves * (vals[:, :n] @ w_n)
-        i_2n = halves * (vals[:, n:] @ w_2n)
-        diff = abs(i_2n - i_n)
-        if not np.isfinite(diff).all():
-            raise NonFiniteError(f"integrand not finite on [{a}, {b}]")
-        estimate = total + i_2n.sum()
-        ok = diff <= halves / half * tol * abs(estimate)
-        total = total + i_2n[ok].sum()
-        err = err + diff[ok].sum()
-        if ok.all():
-            return QuadratureResult(value=total, abs_error_estimate=float(err),
-                                    nodes_used=3 * n * evaluated)
-        mids, halves = mids[~ok], 0.5 * halves[~ok]
-        if panels + 2 * mids.size > _MAX_PANELS:
-            raise AccuracyError(
-                f"pair rule did not converge within {_MAX_PANELS} panels",
-                estimate=estimate, abs_error=float(err + diff[~ok].sum()))
-        mids = np.concatenate([mids - halves, mids + halves])
-        halves = np.concatenate([halves, halves])
-
-
 def j2_over_u_integral(split: float, tol: float = 1e-11,
                        u_match: float = 60.0) -> QuadratureResult:
     """Quadrature of ``int_split^inf J_2(u)/u du``.
@@ -502,15 +369,18 @@ def _bessel_j_integer(n: int, x: np.ndarray, n_ang: int) -> np.ndarray:
 _J_SERIES_TERMS = 20
 
 
-def _bessel_j_excess(m: float, x: np.ndarray) -> np.ndarray:
+def _bessel_j_excess(m: float, x: np.ndarray,
+                     scaled: bool = False) -> np.ndarray:
     """J_m(x) - (x/2)^m / Gamma(m + 1), the power series of J_m without its
-    leading term, for 0 <= x <= 1 and m >= 0; no cancellation."""
+    leading term, for 0 <= x <= 1 and m >= 0; no cancellation.  With
+    ``scaled`` it is divided by (x/2)^m, which neither underflows nor
+    overflows as x -> 0, whatever m."""
     y = 0.25 * np.asarray(x, dtype=float) ** 2
     acc = np.zeros_like(y)
     for k in range(_J_SERIES_TERMS, 0, -1):
         acc = y * ((-1) ** k / (math.factorial(k) * math.gamma(k + m + 1))
                    + acc)
-    return (0.5 * x) ** m * acc
+    return acc if scaled else (0.5 * x) ** m * acc
 
 
 # Tolerance of the Laplace integral of H^(1)_m; the double-exponential

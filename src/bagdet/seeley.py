@@ -33,7 +33,7 @@ import numpy as np
 from .clifford import GammaRep, gamma_t, polar_gammas, stack_2x2
 from .errors import BranchError, SingularSymbolError, require
 from .quadrature import (_bessel_j_excess, _hankel1_on_ray, circle_mean,
-                         contour_closed, integrate_adaptive, integrate_panels)
+                         contour_closed, integrate_adaptive)
 
 __all__ = [
     "GaugeField",
@@ -398,14 +398,12 @@ def k_nu_bessel(nu: int) -> float:
     J_{nu/2-1}; it converts the raw integral (whose logarithm carries
     that coefficient) to the constant accompanying a unit logarithm.  It
     equals 1 at nu = 2.  The bracket of the first integrand is the power
-    series of J_{nu/2-1} without its leading term, so it does not cancel;
-    the integrand is smooth and negative on [0, 1] and goes to the
-    Gauss-Legendre pair rule :func:`~bagdet.quadrature.integrate_panels`.
+    series of J_{nu/2-1} without its leading term, so it does not cancel.
     The oscillatory second integral is rotated onto 1 + i v where the
-    outgoing Hankel function decays exponentially, and goes to the
-    double-exponential :func:`~bagdet.quadrature.integrate_adaptive`;
-    H^(1) comes from its Laplace-type integral, one for all the nodes of
-    a level.  Both run to tolerance 1e-9.  The value depends on ``nu``
+    outgoing Hankel function decays exponentially, with H^(1) from its
+    Laplace-type integral, one for all the nodes of a level.  Both go to
+    the double-exponential :func:`~bagdet.quadrature.integrate_adaptive`
+    at relative tolerance 1e-9.  The value depends on ``nu``
     only and is computed once per process.
     """
     if nu < 2:
@@ -418,9 +416,11 @@ def _k_nu_bessel(nu: int) -> float:
     """Body of :func:`k_nu_bessel`, cached per process."""
     m = nu / 2.0 - 1.0
     norm = 1.0 / (2.0 ** m * math.gamma(nu / 2.0))
-    part1 = integrate_panels(
-        lambda rho: rho ** (-nu / 2.0) * _bessel_j_excess(m, rho), 0.0, 1.0,
-        tol=1e-9)
+    # rho^(-nu/2) (rho/2)^m = 2^-m / rho: the tanh-sinh nodes reach 1e-61,
+    # where either power alone would overflow or underflow
+    part1 = integrate_adaptive(
+        lambda rho: 0.5 ** m * _bessel_j_excess(m, rho, scaled=True) / rho,
+        0.0, 1.0, tol=1e-9)
     part2 = integrate_adaptive(
         lambda v: 1j * (1.0 + 1j * v) ** (-nu / 2.0)
         * _hankel1_on_ray(m, 1.0, v), 0.0, np.inf, tol=1e-9)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bagdet.calderon import (chiral_boundary_condition,
+from bagdet.calderon import (BoundaryCondition, chiral_boundary_condition,
                              chiral_obstruction_witness, check_agmon_cone,
                              check_ellipticity, disk_boundary_condition,
                              disk_q_lambda, imaginary_axis_cone,
@@ -263,6 +263,28 @@ def test_check_ellipticity_svd_count_does_not_grow_with_samples(monkeypatch):
         assert report.passed and len(report.entries) == n
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_check_ellipticity_makes_one_q_and_one_b_call():
+    # every sample in one call each; the ranks are those of the samples
+    # taken one at a time
+    calls = []
+    bc = disk_boundary_condition(0.8 + 0.1j)
+    counted = BoundaryCondition(
+        r=1, b=lambda th, xi: calls.append("b") or bc.b(th, xi))
+    samples = [(2 * np.pi * j / 32, (1.0, -2.0)[j % 2]) for j in range(32)]
+    report = check_ellipticity(
+        counted,
+        lambda th, xi: calls.append("q") or disk_q_lambda(th, xi, 0.0),
+        samples)
+    assert calls == ["q", "b"] and report.passed
+    for (th, xi), entry in zip(samples, report.entries):
+        q = disk_q_lambda(th, xi, 0.0)
+        assert bc.b(th, xi).shape == (1, 2)
+        assert entry["rank_bq"] == numerical_rank(bc.b(th, xi) @ q) == 1
+    # the chiral block batches over a stack of covectors
+    xis = np.array([[0.3, 0.4, 1.0], [0.0, 0.0, -2.0]])
+    assert np.array_equal(q_chiral(xis), [q_chiral(v) for v in xis])
 
 
 def test_ellipticity_disk_passes():

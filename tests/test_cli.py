@@ -129,10 +129,10 @@ def test_sweep_makes_one_int_a_a_call_per_block(monkeypatch, tmp_path, name):
                             inner=getattr(determinant, fn), **kwargs:
                             calls.append(fn) or inner(*args, **kwargs))
 
-    def no_pair_rule(*args, **kwargs):
+    def no_quadrature(*args, **kwargs):
         raise AssertionError("a sweep runs no int A.A quadrature")
 
-    monkeypatch.setattr(determinant, "integrate_panels", no_pair_rule)
+    monkeypatch.setattr(determinant, "a_squared_quadrature", no_quadrature)
     grid = np.linspace(0.5, 2.0, 960)
     for profile, params in (("poly2", "1.3"), ("gaussian", "1.1,0.4"),
                             ("polynomial", "0.3,0.1,-1.2")):
@@ -144,7 +144,7 @@ def test_sweep_makes_one_int_a_a_call_per_block(monkeypatch, tmp_path, name):
 
 
 def test_poly2_sweep_row_past_the_quadrature_overflow_is_exact(tmp_path):
-    # at R = 2e-154, phi0 = 2 the pair rule's A_theta^2 = (2 phi0 r/R^2)^2
+    # at R = 2e-154, phi0 = 2 the quadrature's A_theta^2 = (2 phi0 r/R^2)^2
     # overflows but 2 pi phi0^2 and R^2 do not, so the sweep row is the
     # closed form; --mode determinant still exits 3, because its int A.A
     # oracle overflows
@@ -370,7 +370,7 @@ def test_non_finite_or_overflowing_input_exit_code(flags, capsys):
     ["--profile", "gaussian", "--params", "1,-1"],
     ["--radius", "-1e-3"],
     ["--alpha", "-1e-3"],                 # alpha outside [0, 1]
-    ["--profile", "gaussian", "--params", "1,1e-4"],     # s < 1e-3 R
+    ["--profile", "gaussian", "--params", "1,1e-9"],     # s < 1e-8 R
 ])
 def test_non_positive_radius_or_width_exit_code(flags):
     assert main(["--mode", "determinant"] + flags) == 3
@@ -408,9 +408,9 @@ def test_negative_value_after_a_space_exit_code(flags):
      "--sweep", _grid("phi0", _with_bad(1e160))],
     ["--profile", "polynomial", "--params", "1,0,-1", "--mode", "sweep",
      "--sweep", _grid("phi0", _with_bad(np.inf))],
-    # a Gaussian of width 1e-3 swept past R = 2e3 s, where s < 5e-4 R
-    ["--profile", "gaussian", "--params", "1,1e-3", "--mode", "sweep",
-     "--sweep", _grid("radius", np.linspace(1.0, 3.0, 300))],
+    # a Gaussian of width 1e-8 swept past R = 1e8 s, where s < 1e-8 R
+    ["--profile", "gaussian", "--params", "1,1e-8", "--mode", "sweep",
+     "--sweep", _grid("radius", np.linspace(0.5, 2.0, 300))],
 ])
 def test_non_finite_profile_parameter_exit_code(flags, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -473,10 +473,13 @@ def _run_every_mode(tmp_path, before="", after_each=""):
 
 
 def test_no_mode_imports_scipy(tmp_path):
-    # nor csv: CSV text is formatted by cli itself
+    # nor csv: CSV text is formatted by cli itself; nor decimal and
+    # fractions, which numpy does not import either
     _run_every_mode(tmp_path, after_each=(
         "    loaded = [m for m in sys.modules\n"
-        "              if m.split('.')[0] in ('scipy', 'csv', '_csv')]\n"
+        "              if m.split('.')[0] in ('scipy', 'csv', '_csv',\n"
+        "                                     'decimal', '_decimal',\n"
+        "                                     'fractions')]\n"
         "    assert not loaded, (args, loaded)\n"))
 
 

@@ -15,7 +15,7 @@ from bagdet.determinant import (ContourSpec, a_squared_integral,
 from bagdet.errors import BranchError, ContourError, DomainError
 from bagdet.greens import DiskProblem
 from bagdet.profiles import gaussian, poly2, polynomial
-from bagdet.quadrature import integrate_adaptive
+from bagdet.quadrature import integrate_adaptive, integrate_gauss_legendre
 from bagdet.seeley import d_tilde_minus1
 
 
@@ -227,6 +227,28 @@ def test_residue_check_vanishes():
     assert out["passed"]
 
 
+def test_residue_check_contraction_to_1e_6_relative():
+    # the xi = +1 and -1 pieces, -5.0e-9 and 3.9e-9, leave 1.75e-10 after
+    # the 1/2 pi; the reference takes 32-point Gauss-Legendre panels on
+    # t = x/(1 - x), crowded towards x = 1
+    p = standard_problem(w=0.8, alpha=0.9)
+    a_slash = p.gauge.a_theta(p.R) * polar_gammas(0.0)[1]
+    edges = np.concatenate([np.linspace(0.0, 0.5, 8),
+                            1.0 - np.geomspace(0.5, 1e-14, 60)[1:]])
+
+    def mapped(x, xi):
+        t = x / (1.0 - x)
+        d = d_tilde_minus1(0.0, t, t, xi, 1e-9j, p.w)
+        return np.trace(a_slash @ d, axis1=-2, axis2=-1) / (1.0 - x) ** 2
+
+    ref = abs(sum(integrate_gauss_legendre(lambda x: mapped(x, xi), a, b, 32)
+                  for xi in (1.0, -1.0)
+                  for a, b in zip(edges[:-1], edges[1:]))) / (2.0 * np.pi)
+    assert ref == pytest.approx(1.75e-10, rel=1e-6)
+    got = residue_check(p)["boundary_contraction_abs"]
+    assert abs(got - ref) <= 1e-6 * ref
+
+
 def test_residue_check_zero_gauge():
     p = DiskProblem(R=1.0, w=2.0, alpha=1.0, gauge=polynomial([0.0], 1.0))
     out = residue_check(p)
@@ -323,7 +345,7 @@ def test_batched_problem_runs_the_closed_forms_only():
         DiskProblem(R=R, w=np.array([0.8, 0.0, 1.0]), alpha=1.0,
                     gauge=gaussian(0.9, 0.3, R))
     with pytest.raises(DomainError, match="too narrow"):
-        gaussian(0.9, 1e-3, np.array([1.0, 3.0]))
+        gaussian(0.9, 1e-8, np.array([1.0, 3.0]))
 
 
 @pytest.mark.parametrize("make", [lambda R: poly2(1.3, R),
@@ -349,7 +371,7 @@ def test_scalar_run_equals_radius_sweep_row_bitwise(make):
 
 
 def test_a_squared_abs_err_sees_a_closed_form_off_its_profile():
-    # the closed form is the value and the pair rule its oracle: a closed
+    # the closed form is the value and quadrature its oracle: a closed
     # form 1% off the profile's dphi shows in a_squared_abs_err
     gauge = gaussian(1.2, 0.4, 1.0)
     p = DiskProblem(R=1.0, w=1.3 + 0.2j, alpha=0.6, gauge=gauge)

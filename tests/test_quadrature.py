@@ -1,20 +1,23 @@
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagdet import quadrature
 from bagdet.determinant import a_squared_integral, a_squared_quadrature
 from bagdet.errors import AccuracyError, DomainError, NonFiniteError
-from bagdet.profiles import gaussian, poly2, polynomial
-from bagdet.quadrature import (PANELS_MIN_FEATURE, circle_mean,
-                               contour_closed, integrate_adaptive,
-                               integrate_gauss_legendre, integrate_panels,
+from bagdet.profiles import GAUSSIAN_MIN_WIDTH, gaussian, poly2, polynomial
+from bagdet.quadrature import (circle_mean, contour_closed,
+                               integrate_adaptive, integrate_gauss_legendre,
                                j2_over_u_integral)
 from bagdet.seeley import GaugeField
 
 EPS = float(np.finfo(float).eps)
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def test_rational_halfline_integral():
@@ -230,56 +233,6 @@ def _gaussian_a_squared(phi0, s, R):
     return math.pi * phi0 ** 2 * (-math.expm1(-x) - x * math.exp(-x))
 
 
-def test_pair_rule_exact_for_degree_31_in_one_call():
-    coeffs = np.linspace(-1.0, 1.0, 32)
-    poly = np.polynomial.Polynomial(coeffs)
-    calls = []
-
-    def f(x):
-        calls.append(np.shape(x))
-        return poly(x)
-
-    res = integrate_panels(f, -0.5, 1.5, tol=1e-11)
-    exact = poly.integ()(1.5) - poly.integ()(-0.5)
-    assert calls == [(48,)]
-    assert res.nodes_used == 48
-    assert abs(res.value - exact) < 1e-13 * abs(exact)
-
-
-def test_pair_rule_bisects_to_a_narrow_gaussian():
-    s, calls = 1e-3, []
-
-    def f(r):
-        calls.append(np.shape(r))
-        return (2.0 * r / s ** 2 * np.exp(-r ** 2 / s ** 2)) ** 2 * r
-
-    res = integrate_panels(f, 0.0, 1.0, tol=1e-11)
-    exact = _gaussian_a_squared(1.0, s, 1.0) / (2.0 * np.pi)
-    assert len(calls) > 1 and all(len(shape) == 1 for shape in calls)
-    assert res.nodes_used == sum(shape[0] for shape in calls)
-    assert abs(res.value - exact) < 1e-12 * exact
-    assert res.abs_error_estimate < 1e-11 * exact
-
-
-def test_pair_rule_gives_up_on_a_jump_at_the_panel_cap():
-    with pytest.raises(AccuracyError, match="64 panels") as err:
-        integrate_panels(lambda x: (x > 0.3).astype(float), 0.0, 1.0,
-                         tol=1e-11)
-    assert abs(err.value.estimate - 0.7) < 1e-6
-    assert err.value.abs_error is not None
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_pair_rule_rejects_one_nonfinite_node(bad):
-    def f(x):
-        vals = np.ones_like(x)
-        vals[40] = bad
-        return vals
-
-    with pytest.raises(NonFiniteError, match="not finite"):
-        integrate_panels(f, 0.0, 1.0, tol=1e-11)
-
-
 def test_a_squared_integral_maps_only_non_finite_values_to_domain_error():
     def dphi(r):
         raise ValueError("defect in the profile")
@@ -303,7 +256,7 @@ def test_a_squared_integral_matches_closed_forms(R):
         (poly2(1.3, R), 2.0 * np.pi * 1.3 ** 2),
         (gaussian(1.1, 0.5 * R, R), _gaussian_a_squared(1.1, 0.5 * R, R)),
         (gaussian(1.1, 1e-3 * R, R), _gaussian_a_squared(1.1, 1e-3 * R, R)),
-        (gaussian(1.1, 5e-4 * R, R), _gaussian_a_squared(1.1, 5e-4 * R, R)),
+        (gaussian(1.1, 1e-8 * R, R), _gaussian_a_squared(1.1, 1e-8 * R, R)),
         # small amplitudes: the acceptance test is relative, not absolute
         (gaussian(1e-5, 1e-2 * R, R), _gaussian_a_squared(1e-5, 1e-2 * R, R)),
         (gaussian(1e-7, 1e-3 * R, R), _gaussian_a_squared(1e-7, 1e-3 * R, R)),
@@ -313,7 +266,7 @@ def test_a_squared_integral_matches_closed_forms(R):
          .integ()(R)),
     ]
     for gauge, exact in cases:
-        # the closed forms of the profiles and their pair-rule oracle
+        # the closed forms of the profiles and their quadrature oracle
         assert abs(a_squared_integral(gauge).value - exact) < 1e-13 * exact
         assert abs(a_squared_quadrature(gauge).value - exact) < 1e-13 * exact
 
@@ -348,31 +301,67 @@ def test_gaussian_closed_form_within_4_ulp():
             assert float(rel) <= 4 * EPS, (x[j], float(rel) / EPS)
 
 
-@pytest.mark.parametrize("K", [1, 2, 4, 9, 17])
-def test_polynomial_closed_form_is_the_pair_rule_bit_for_bit(K):
-    # A_theta^2 r has degree 2K - 3 <= 31, so the pair rule stops after
-    # its first round, whose 32-point estimate is the closed form
-    rng = np.random.default_rng(K)
-    for _ in range(20):
-        gauge = polynomial(rng.uniform(-3.0, 3.0, K).tolist(),
-                           float(rng.uniform(0.3, 3.0)))
-        assert gauge.a_squared == a_squared_quadrature(gauge).value
+def _int_a_a_fraction(coeffs, R) -> Fraction:
+    """int_0^R A_theta^2 r dr of sum_k c_k r^k, exactly, from the values
+    of the doubles."""
+    c = [Fraction(float(v)) for v in coeffs]
+    R = Fraction(float(R))
+    return sum(j * k * c[j] * c[k] * R ** (j + k) / (j + k)
+               for j in range(1, len(c)) for k in range(1, len(c)))
+
+
+@PROPERTY
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=17),
+       scale=st.integers(-4, 4), R=st.floats(0.3, 3.0))
+def test_polynomial_closed_form_is_correctly_rounded(coeffs, scale, R):
+    # 2 pi times the exact sum rounded once, and a row of a radius batch
+    # is its scalar profile bit for bit
+    coeffs = [v * 10.0 ** (scale * k % 5 - 2) for k, v in enumerate(coeffs)]
+    exact = 2.0 * math.pi * float(_int_a_a_fraction(coeffs, R))
+    assert polynomial(coeffs, R).a_squared == exact
+    radii = np.array([0.5 * R, R, 2.0 * R])
+    batch = polynomial(coeffs, radii).a_squared
+    assert batch.shape == radii.shape and batch[1] == exact
+    for j, Rj in enumerate(radii.tolist()):
+        assert batch[j] == polynomial(coeffs, Rj).a_squared
 
 
 def test_polynomial_closed_form_exact_beyond_the_32_point_rule():
-    # phi = r^99/99: A_theta^2 r = r^197 takes a 99-point rule, where the
-    # 32-point one is 6e-9 off; r^98 itself carries ~50 ulp of rounding
+    # phi = r^99/99: A_theta^2 r = r^197, which a 32-point Gauss-Legendre
+    # rule gets 6e-9 off; the exact sum has 1/99 rounded in c_99
     coeffs = [0.0] * 99 + [1.0 / 99.0]
-    exact = 2.0 * math.pi / 198.0
-    assert abs(polynomial(coeffs, 1.0).a_squared - exact) <= 64 * EPS * exact
+    exact = 2.0 * math.pi * float(_int_a_a_fraction(coeffs, 1.0))
+    assert polynomial(coeffs, 1.0).a_squared == exact
+    assert abs(exact - 2.0 * math.pi / 198.0) <= 4 * EPS * exact
+
+
+def test_polynomial_past_the_largest_double_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        polynomial([0.0, 1e160], 1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        polynomial([0.0, 1.0, math.inf], 1.0)
 
 
 def test_gaussian_narrower_than_the_rule_resolves_is_rejected():
-    # at s/R = 5e-5 every first-round node sees A_theta^2 underflowed to 0
-    # and the rule returns 0; the bound keeps a margin above that
+    # the double-exponential rule fails to converge on the peak at r = 0
+    # from s/R = 6e-10 down; the bound keeps a margin above that
     with pytest.raises(DomainError, match="too narrow"):
-        gaussian(1.0, 0.99 * PANELS_MIN_FEATURE, 1.0)
-    gaussian(1.0, PANELS_MIN_FEATURE, 1.0)
+        gaussian(1.0, 0.99 * GAUSSIAN_MIN_WIDTH, 1.0)
+    gaussian(1.0, GAUSSIAN_MIN_WIDTH, 1.0)
+
+
+@PROPERTY
+@given(log_s=st.floats(math.log(GAUSSIAN_MIN_WIDTH), math.log(3.0)),
+       log_phi0=st.floats(math.log(1e-7), math.log(1e2)),
+       R=st.floats(0.1, 10.0))
+def test_a_squared_quadrature_matches_the_gaussian_closed_form(log_s,
+                                                               log_phi0, R):
+    # down to the narrowest width and to small amplitudes: the acceptance
+    # test of the rule is relative
+    gauge = gaussian(math.exp(log_phi0), math.exp(log_s) * R, R)
+    res = a_squared_quadrature(gauge)
+    assert abs(res.value - gauge.a_squared) <= 1e-13 * gauge.a_squared
+    assert res.abs_error_estimate <= 1e-11 * gauge.a_squared
 
 
 def test_j2_over_u_full_integral():

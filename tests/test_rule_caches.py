@@ -1,5 +1,6 @@
-"""Per-process caches of the Gauss-Legendre rules, the spectral path, the
-split Bessel integrals and the Bessel form of K_nu.
+"""Per-process caches of the Gauss-Legendre rules, the double-exponential
+levels, the spectral path, the split Bessel integrals and the Bessel form
+of K_nu.
 
 The cached arrays are shared by every caller, so they must be read-only;
 a result must not depend on whether a cache was cold or warm, nor on which
@@ -8,7 +9,6 @@ tracer that wraps them keeps seeing every call.
 """
 
 import inspect
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from bagdet.profiles import gaussian, poly2
 
 def _clear_caches():
     quadrature._gauss_legendre_rule.cache_clear()
-    quadrature._pair_rule.cache_clear()
+    quadrature._de_level.cache_clear()
     quadrature._circle_angles.cache_clear()
     quadrature._j2_over_u.cache_clear()
     seeley._k_nu_bessel.cache_clear()
@@ -39,22 +39,10 @@ def test_cached_arrays_are_read_only():
             arr[0] = 0.0
     nodes, weights = np.polynomial.legendre.leggauss(24)
     assert np.array_equal(rule[0], nodes) and np.array_equal(rule[1], weights)
-    for arr in quadrature._pair_rule():
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
-
-def test_pair_rule_weights_reproduce_the_moments():
-    # exact rational sums of the stored doubles: sum w x^k = 2/(k+1) to
-    # under 1 ulp (NumPy's own 32-point weights miss by up to 21 ulp)
-    nodes, w_n, w_2n = quadrature._pair_rule()
-    n = quadrature._PAIR_N
-    for x, w in ((nodes[:n], w_n), (nodes[n:], w_2n)):
-        for k in range(0, 8, 2):
-            moment = sum(Fraction(float(wi)) * Fraction(float(xi)) ** k
-                         for xi, wi in zip(x, w))
-            exact = Fraction(2, k + 1)
-            assert abs(float((moment - exact) / exact)) < np.finfo(float).eps
+    for finite in (True, False):
+        for arr in quadrature._de_level(3, finite):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 # g has poles at 0 (always inside the detour) and at A_POLE, which sits

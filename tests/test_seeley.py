@@ -460,6 +460,13 @@ def test_k_nu_bessel_route():
         assert abs(k_nu_bessel(nu) - k_nu(nu)) <= 1e-13, nu
 
 
+def test_k_nu_bessel_head_stays_finite_at_high_nu():
+    # the head's nodes reach rho = 1e-61, where rho^(-nu/2) alone
+    # overflows from nu = 11 on
+    for nu in range(8, 16):
+        assert abs(k_nu_bessel(nu) - k_nu(nu)) <= 1e-7, nu
+
+
 def test_k_nu_bessel_is_computed_once(monkeypatch):
     calls = []
     original = quadrature.integrate_adaptive
