@@ -310,6 +310,21 @@ def _int_a_a_fraction(coeffs, R) -> Fraction:
                for j in range(1, len(c)) for k in range(1, len(c)))
 
 
+@pytest.mark.parametrize("K", [1, 2, 4, 9, 17])
+def test_polynomial_closed_form_is_the_pair_rule_bit_for_bit(K):
+    # the closed form is 2 pi times the exact sum over coefficient pairs
+    # (j, k), rounded once; the quadrature oracle agrees to its tolerance
+    rng = np.random.default_rng(K)
+    for _ in range(20):
+        coeffs = rng.uniform(-3.0, 3.0, K).tolist()
+        R = float(rng.uniform(0.3, 3.0))
+        gauge = polynomial(coeffs, R)
+        exact = 2.0 * math.pi * float(_int_a_a_fraction(coeffs, R))
+        assert gauge.a_squared == exact
+        oracle = a_squared_quadrature(gauge).value
+        assert abs(oracle - exact) <= 1e-11 * exact, (oracle, exact)
+
+
 @PROPERTY
 @given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=17),
        scale=st.integers(-4, 4), R=st.floats(0.3, 3.0))
