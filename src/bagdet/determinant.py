@@ -316,20 +316,41 @@ def boundary_term(w, flux_value):
     together; the rule and the cut hold on every row, and the scalar
     result is a complex.
     """
-    w = np.asarray(w, dtype=complex)
-    require(w != 0, "w = 0 does not define an elliptic problem")
+    # a NumPy scalar for one w, whose arithmetic skips the array machinery
+    w = np.asarray(w, dtype=complex)[()]
     size = np.abs(w)
-    e = np.frexp(size)[1] * ((size < 1e-150) | (size > 1e150))
-    v_re, v_im = np.ldexp(w.real, -e), np.ldexp(w.imag, -e)
-    # v*v, formed as Python's complex product forms it
-    w2 = np.empty(w.shape, dtype=complex)
-    w2.real = v_re * v_re - v_im * v_im
-    w2.imag = v_re * v_im + v_im * v_re
+    # one batch-wide test keeps the rescale off the common path
+    rescale = not every((size >= 1e-150) & (size <= 1e150))
+    if rescale:
+        require(size != 0, "w = 0 does not define an elliptic problem")
+        e = np.frexp(size)[1] * ((size < 1e-150) | (size > 1e150))
+        v_re, v_im = np.ldexp(w.real, -e), np.ldexp(w.imag, -e)
+    else:
+        v_re, v_im = w.real, w.imag
+    w2 = _complex_product(v_re, v_im, v_re, v_im)
     w2.imag[(w2.imag == 0.0) & (w2.real < 0.0)] = 0.0
     log_w2 = np.log(w2)
-    if not every(e == 0):
+    if rescale:
         log_w2 = np.where(e == 0, log_w2, log_w2 + 2 * e * math.log(2.0))
-    return (-np.asarray(flux_value) / (4.0 * np.pi) * log_w2)[()]
+    return _complex_product(-flux_value / (4.0 * np.pi), 0.0,
+                            log_w2.real, log_w2.imag)[()]
+
+
+def _complex_product(a_re, a_im, b_re, b_im) -> np.ndarray:
+    """(a_re + i a_im)(b_re + i b_im), formed as Python's complex product
+    forms it, each real product rounded on its own; the parts broadcast
+    together, and one of them is a NumPy scalar or array.
+
+    NumPy's loop for complex arrays fuses a product into the sum (FMA)
+    where the CPU has it, and its scalar arithmetic does not, so a batch
+    row and a scalar call would differ in the sign of a part whose
+    product underflows to zero.
+    """
+    re = a_re * b_re - a_im * b_im
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a_re * b_im + a_im * b_re
+    return out
 
 
 def _u_parameter(w: complex) -> complex:

@@ -1,3 +1,5 @@
+import builtins
+import contextlib
 import csv
 import io
 import json
@@ -5,16 +7,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bagdet import cli, determinant, greens, seeley
 from bagdet.cli import (DEFAULT_TOLERANCES, SWEEP_BLOCK, RunConfig,
                         build_config, main)
 from bagdet.greens import DiskProblem
 from bagdet.profiles import make_profile
+from conftest import PROPERTY
 
 
 EPS = float(np.finfo(float).eps)
@@ -97,10 +103,13 @@ def test_sweep_rows_match_determinant_calls(tmp_path, name, profile, params,
                  "--w", repr(w), "--out", str(out)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == [name, *determinant.CSV_FIELDS]
-    assert len(rows) == len(grid) + 1
-    for row, v in zip(rows[1:], grid):
-        vals = [float(x) for x in row]
-        assert vals[0] == v
+    assert rows[1:] == _scalar_rows(name, grid, profile, params, radius, w)
+
+
+def _scalar_rows(name, grid, profile, params, radius, w):
+    """The sweep's CSV cells, from one scalar ln_det_ratio per value."""
+    rows = []
+    for v in grid:
         R, w_row, p = radius, w, list(params)
         if name == "w":
             w_row = complex(v)
@@ -112,11 +121,40 @@ def test_sweep_rows_match_determinant_calls(tmp_path, name, profile, params,
             DiskProblem(R=R, w=w_row, alpha=1.0,
                         gauge=make_profile(profile, p, R)),
             run_oracles=False).values()
-        for k in (0, 1, 2, 5):                 # bulk, boundary, flux
-            assert abs(vals[1 + k] - ref[k]) <= 4 * EPS * abs(ref[k]), k
-        scale = max(abs(ref[0]), abs(complex(ref[1], ref[2])))
-        for k in (3, 4):                       # total
-            assert abs(vals[1 + k] - ref[k]) <= 4 * EPS * scale, k
+        rows.append([repr(float(x)) for x in [v, *ref]])
+    return rows
+
+
+_PROFILE_PARAMS = {
+    "poly2": st.tuples(st.floats(-2.0, 2.0)),
+    "gaussian": st.tuples(st.floats(-2.0, 2.0), st.floats(1e-3, 2.0)),
+    "polynomial": st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
+}
+_SWEPT_VALUES = {"w": st.floats(0.05, 20.0) | st.floats(-20.0, -0.05),
+                 "radius": st.floats(0.05, 5.0),
+                 "phi0": st.floats(-3.0, 3.0)}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEPT_VALUES))
+@pytest.mark.parametrize("profile", sorted(_PROFILE_PARAMS))
+@PROPERTY
+@given(data=st.data())
+def test_sweep_row_is_the_scalar_run_bit_for_bit(profile, name, data):
+    grid = data.draw(st.lists(_SWEPT_VALUES[name], min_size=1, max_size=40))
+    params = list(data.draw(_PROFILE_PARAMS[profile]))
+    radius = data.draw(st.floats(0.3, 3.0))
+    w = data.draw(st.complex_numbers(min_magnitude=0.05, max_magnitude=5.0,
+                                     allow_nan=False, allow_infinity=False))
+    cfg = RunConfig(radius=radius, w_re=w.real, w_im=w.imag, profile=profile,
+                    profile_params=params, mode="sweep",
+                    sweep_spec=(name, grid))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg.output_path = os.path.join(tmp, "sweep.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(cfg) == 0
+        with open(cfg.output_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows[1:] == _scalar_rows(name, grid, profile, params, radius, w)
 
 
 @pytest.mark.parametrize("name", ["w", "radius", "phi0"])
@@ -174,19 +212,64 @@ def _assert_same_text(got: str, expected: str) -> None:
     assert same, (at, got[at - 20:at + 20], expected[at - 20:at + 20])
 
 
+def _assert_csv_rows(columns, n):
+    table = np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (n,))
+                             for c in columns])
+    _assert_same_text("".join(cli._csv_rows(columns)),
+                      _csv_writer_text(table.tolist()))
+
+
 def test_csv_rows_match_csv_writer():
     values = [0.0, -0.0, 5e-324, -5e-324, 1e15, 1e16, -1e16, 1e-5, 1e22,
               1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5]
     v = np.array(values)
     table = np.column_stack([v, -v, v[::-1]])
-    assert cli._csv_rows(table) == [_csv_writer_text(table.tolist())]
-    row = np.array([values])
-    assert cli._csv_rows(row) == [_csv_writer_text(row.tolist())]
+    assert cli._csv_rows([v, -v, v[::-1]]) == [
+        _csv_writer_text(table.tolist())]
+    # 0-d columns alone are one row
+    assert cli._csv_rows(values) == [_csv_writer_text([values])]
+    assert cli._csv_rows(list(v)) == [_csv_writer_text([values])]
     # one string per block of SWEEP_BLOCK rows
-    tall = np.tile(table, (30, 1))
-    blocks = cli._csv_rows(tall)
+    tall = np.tile(v, 30)
+    blocks = cli._csv_rows([tall, -tall, tall[::-1]])
     assert [b.count("\r\n") for b in blocks] == [SWEEP_BLOCK] * 3 + [6]
-    _assert_same_text("".join(blocks), _csv_writer_text(tall.tolist()))
+    _assert_same_text("".join(blocks), _csv_writer_text(
+        np.column_stack([tall, -tall, tall[::-1]]).tolist()))
+    for n in (SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1, 3 * SWEEP_BLOCK):
+        few = np.resize(v, n)                  # 13 values, repeated
+        distinct = np.linspace(-1.0, 1.0, n)
+        zeroed = distinct.copy()
+        zeroed[-1] = 0.0
+        signed = zeroed.copy()                 # differs in one signed zero,
+        signed[-1] = -0.0                      # past the first 32 rows
+        late = np.concatenate([np.full(32, 2.0), distinct[32:]])
+        _assert_csv_rows([
+            distinct, 0.5, -0.0, np.nan, few, np.full(n, -0.0),
+            np.full(n, 0.0), np.full(n, -0.0), zeroed, signed, zeroed,
+            np.full(n, 5e-324), np.full(n, -2.5e-310), few, distinct,
+            np.full(n, np.nan), np.full(n, -np.nan), late,
+            np.where(np.arange(n) % 3, 0.0, -0.0)], n)
+
+
+@pytest.mark.parametrize("name, grid, most", [
+    # bulk and flux are 0-d, boundary_im holds 0.0 and -0.0 (the sign of
+    # ln w^2 changes at |w| = 1) and total_im is 0.0: five texts
+    ("w", np.linspace(0.5, 2.0, 960) * (-1.0) ** np.arange(960),
+     3 * 960 + 5),
+    # bulk is 0-d; flux, and with it the boundary and total parts, rounds
+    # at most five ways; total_im repeats boundary_im
+    ("radius", np.linspace(0.5, 2.0, 960), 960 + 1 + 4 * 5),
+    ("phi0", np.linspace(0.2, 2.0, 960), 6 * 960),
+])
+def test_sweep_formats_each_repeated_value_once(monkeypatch, tmp_path, name,
+                                                grid, most):
+    # guards against a return to one repr per cell (7 * 960 here)
+    formatted = []
+    monkeypatch.setattr(cli, "repr", lambda x: formatted.append(x)
+                        or builtins.repr(x), raising=False)
+    assert main(["--mode", "sweep", "--sweep", _grid(name, grid),
+                 "--w", "0.8+0.3j", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert 960 <= len(formatted) <= most
 
 
 @pytest.mark.parametrize("n", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bagdet import determinant, greens
@@ -13,8 +13,8 @@ from bagdet.greens import (DiskProblem, PlanePoint, boundary_residual,
                            zero_mode_scan)
 from bagdet.profiles import gaussian, make_profile, poly2, polynomial
 from bagdet.seeley import GaugeField
+from conftest import PROPERTY
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 G0_MAT = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 G1_MAT = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)

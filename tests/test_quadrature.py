@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bagdet import quadrature
@@ -15,9 +15,9 @@ from bagdet.quadrature import (circle_mean, contour_closed,
                                integrate_adaptive, integrate_gauss_legendre,
                                j2_over_u_integral)
 from bagdet.seeley import GaugeField
+from conftest import PROPERTY
 
 EPS = float(np.finfo(float).eps)
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def test_rational_halfline_integral():
@@ -311,7 +311,7 @@ def _int_a_a_fraction(coeffs, R) -> Fraction:
 
 
 @pytest.mark.parametrize("K", [1, 2, 4, 9, 17])
-def test_polynomial_closed_form_is_the_pair_rule_bit_for_bit(K):
+def test_polynomial_closed_form_is_the_exact_pair_sum_and_matches_the_oracle(K):
     # the closed form is 2 pi times the exact sum over coefficient pairs
     # (j, k), rounded once; the quadrature oracle agrees to its tolerance
     rng = np.random.default_rng(K)
