@@ -18,7 +18,6 @@ imaginary part.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 from .clifford import GammaRep, slash, stack_2x2
 from .errors import BranchError, ContourError, DomainError
 from .quadrature import contour_closed
-from .seeley import decay_root
+from .seeley import a1_matrix, decay_root
 
 __all__ = [
     "BoundaryCondition",
@@ -51,15 +50,14 @@ RANK_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Local boundary condition of target rank r.
+    """Local boundary condition.
 
-    ``b(x, xi)`` returns the r x k symbol matrix, or for stacked x and xi
-    a stack of them (or one matrix for all); it must be homogeneous of
-    degree zero in xi for |xi| >= 1 (for multiplication operators it
-    simply ignores xi).
+    ``b(x, xi)`` returns the r x k symbol matrix of a condition of rank r,
+    or for stacked x and xi a stack of them (or one matrix for all); it
+    must be homogeneous of degree zero in xi for |xi| >= 1 (for
+    multiplication operators it simply ignores xi).
     """
 
-    r: int
     b: Callable[[object, object], np.ndarray]
 
 
@@ -75,7 +73,7 @@ def disk_boundary_condition(w: complex) -> BoundaryCondition:
         entry = w * np.exp(-1j * np.asarray(theta))
         return np.stack([np.ones_like(entry), entry], axis=-1)[..., None, :]
 
-    return BoundaryCondition(r=1, b=b)
+    return BoundaryCondition(b=b)
 
 
 def chiral_boundary_condition(beta1: complex, beta2: complex) -> BoundaryCondition:
@@ -84,7 +82,7 @@ def chiral_boundary_condition(beta1: complex, beta2: complex) -> BoundaryConditi
     def b(x, xi):
         return np.array([[beta1, beta2]], dtype=complex)
 
-    return BoundaryCondition(r=1, b=b)
+    return BoundaryCondition(b=b)
 
 
 def q_principal(rep: GammaRep, n, xi) -> np.ndarray:
@@ -164,25 +162,25 @@ def _riesz_projector_contour(a_mat: np.ndarray, circle=None) -> np.ndarray:
                           n=256) / (2j * np.pi)
 
 
-def q_lambda_contour(a1, x, xi, lam, circle=None) -> np.ndarray:
-    """Spectral-parameter projector symbol by numerical contour quadrature.
+def q_lambda_contour(x, xi, lam, circle=None) -> np.ndarray:
+    """Spectral-parameter projector symbol of the disk Dirac operator by
+    numerical contour quadrature.
 
-    ``a1`` is the degree-one symbol, called as ``a1(x, t, xi, tau, lam)``
-    (a SymbolFn works).  The integrand matrix is
-    ``a1(x,0;0,1;0)^{-1} a1(x,0;xi,0;lam)`` and the contour is a clockwise
+    With a1 the degree-one symbol :func:`~bagdet.seeley.a1_matrix` at the
+    boundary angle ``x``, the integrand matrix is
+    ``a1(x;0,1;0)^{-1} a1(x;xi,0;lam)`` and the contour is a clockwise
     circle around its eigenvalues with negative imaginary part, integrated
     on 256 nodes.
 
     ``x``, ``xi`` and ``lam`` broadcast to a batch shape S, giving an
-    ``S + (k, k)`` stack whose row ``j`` equals the scalar call: one pair
+    ``S + (2, 2)`` stack whose row ``j`` equals the scalar call: one pair
     of ``a1`` evaluations, one ``inv``, one ``eigvals`` and one solve on
-    ``(256,) + S + (k, k)``.  Each row picks its own circle (an explicit
+    ``(256,) + S + (2, 2)``.  Each row picks its own circle (an explicit
     ``circle = (center, radius)`` applies to every row), and one row with
     an eigenvalue on its circle raises ContourError for the whole batch.
     """
-    eval_a1 = getattr(a1, "eval", a1)
-    normal = np.linalg.inv(eval_a1(x, 0.0, 0.0, 1.0, 0.0))
-    a_mat = normal @ eval_a1(x, 0.0, xi, 0.0, lam)
+    normal = np.linalg.inv(a1_matrix(0.0, 1.0, 0.0, theta=x))
+    a_mat = normal @ a1_matrix(xi, 0.0, lam, theta=x)
     return _riesz_projector_contour(a_mat, circle=circle)
 
 
@@ -276,19 +274,6 @@ class EllipticityReport:
     entries: list = field(default_factory=list)
     passed: bool = True
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self), default=_json_default, indent=2)
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
 
 def check_ellipticity(bc: BoundaryCondition, q_fn,
                       samples: Sequence) -> EllipticityReport:
@@ -349,9 +334,6 @@ class AgmonConeReport:
     @property
     def passed(self) -> bool:
         return self.condition1_passed and self.condition2_passed
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), default=_json_default, indent=2)
 
 
 def check_agmon_cone(bc: BoundaryCondition, sectors) -> AgmonConeReport:

@@ -433,7 +433,7 @@ def _verify_checks(cfg: RunConfig):
 
     theta, xi, lam = draws["q_lambda_match"]
     closed = calderon.disk_q_lambda(theta, xi, lam)
-    contour = calderon.q_lambda_contour(seeley.a1_symbol(rep), theta, xi, lam)
+    contour = calderon.q_lambda_contour(theta, xi, lam)
     checks.append(("q_lambda_match", float(np.max(np.abs(closed - contour))),
                    cfg.tol("q_lambda_match")))
 

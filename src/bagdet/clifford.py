@@ -17,17 +17,13 @@ __all__ = [
     "make_rep_4d_boundary",
     "polar_gammas",
     "gamma_t",
-    "anticommutator",
     "slash",
     "stack_2x2",
-    "mats_close",
 ]
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-ALG_TOL = 1e-12  # default tolerance for algebraic identities
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,6 @@ def gamma_t(theta) -> np.ndarray:
     return -polar_gammas(theta)[0]
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def slash(gammas, vector) -> np.ndarray:
     """Contraction sum_mu v_mu gamma_mu for a real or complex vector.
 
@@ -128,12 +120,3 @@ def slash(gammas, vector) -> np.ndarray:
     if vector.shape[-1:] != (len(gammas),):
         raise ValueError("vector length must match the number of gammas")
     return (vector[..., None, None] * gammas).sum(axis=-3)
-
-
-def mats_close(a: np.ndarray, b: np.ndarray, tol: float = ALG_TOL) -> bool:
-    """Entrywise comparison with an explicit absolute tolerance."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b)) <= tol)

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import make_rep_2d, polar_gammas
+from .clifford import polar_gammas
 from .errors import (AccuracyError, BranchError, ContourError, DomainError,
                      NonFiniteError, every, require)
-from .greens import DiskProblem, diagonal_singularity_coefficient
+from .greens import DiskProblem
 from .quadrature import (QuadratureResult, circle_mean, gauss_legendre_panel,
                          integrate_adaptive, integrate_gauss_legendre,
                          j2_over_u_integral)
@@ -53,7 +53,6 @@ __all__ = [
     "boundary_contour_oracle",
     "ln_det_ratio",
     "residue_check",
-    "singularity_cancellation_check",
 ]
 
 CSV_FIELDS = ("bulk", "boundary_re", "boundary_im", "total_re", "total_im",
@@ -549,14 +548,13 @@ def residue_check(p: DiskProblem) -> dict:
     piece runs to relative tolerance 1e-6, far beaten by the level it
     accepts, so their sum, a fifth of either, is good to ~1e-6 relative.
     """
-    rep = make_rep_2d()
     theta0 = 0.0
     interior_norms = []
     for frac in (0.3, 0.6, 0.9):
         a_th = p.gauge.a_theta(frac * p.R)
         acc = 2 * np.pi * circle_mean(
-            lambda phi: c_minus2(rep, a_th, np.cos(phi), np.sin(phi), 0.0,
-                                 p.alpha, theta=theta0), 256)
+            lambda phi: c_minus2(a_th, np.cos(phi), np.sin(phi), 0.0, p.alpha,
+                                 theta=theta0), 256)
         interior_norms.append(float(np.max(np.abs(acc))))
 
     _, g_theta = polar_gammas(theta0)
@@ -575,32 +573,3 @@ def residue_check(p: DiskProblem) -> dict:
         "passed": bool(max(interior_norms) < 1e-10
                        and abs(contraction) < 1e-8),
     }
-
-
-def singularity_cancellation_check(p: DiskProblem,
-                                   radii=(0.3, 0.5, 0.7)) -> dict:
-    """Pole coefficient of tr(A_theta gamma_theta G_B) at merging angles.
-
-    Contracts the Richardson estimate of
-    :func:`~bagdet.greens.diagonal_singularity_coefficient` with
-    A_theta gamma_theta and compares the trace with the interior
-    counterterm coefficient A_theta/(pi i r); their equality is what makes
-    the first two contributions to dW/dalpha cancel.
-    """
-    theta0 = 0.7
-    _, g_theta = polar_gammas(theta0)
-    entries = []
-    worst = 0.0
-    for frac in radii:
-        r = frac * p.R
-        a_th = p.gauge.a_theta(r)
-        if a_th == 0.0:
-            continue
-        estimate, _, _ = diagonal_singularity_coefficient(p, r, theta0)
-        coefficient = np.trace(a_th * g_theta @ estimate)
-        target = a_th / (1j * np.pi * r)
-        rel = abs(coefficient - target) / abs(target)
-        entries.append({"r": r, "coefficient": complex(coefficient),
-                        "target": complex(target), "rel_err": float(rel)})
-        worst = max(worst, float(rel))
-    return {"entries": entries, "max_rel_err": worst}

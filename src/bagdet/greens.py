@@ -282,12 +282,11 @@ def zero_mode_scan(p: DiskProblem, n_range) -> ZeroModeReport:
     return report
 
 
-def diagonal_singularity_coefficient(p: DiskProblem, r: float, theta: float,
-                                     levels: int = 3):
+def diagonal_singularity_coefficient(p: DiskProblem, r: float, theta: float):
     """Pole coefficient of G_B at equal radii as the angles merge.
 
     Richardson-extrapolates delta * G_B(theta, r, theta - delta, r) in the
-    angle separation delta = 1e-2 2^-k, k = 0..levels; level j combines
+    angle separation delta = 1e-2 2^-k, k = 0..3; level j combines
     (2^j f(delta/2) - f(delta)) / (2^j - 1), which removes the O(delta^j)
     term.  The limit is gamma_theta / (2 pi i r).
 
@@ -295,10 +294,10 @@ def diagonal_singularity_coefficient(p: DiskProblem, r: float, theta: float,
     -------
     (estimate, target, rel_err)
     """
-    d = 1e-2 * 0.5 ** np.arange(levels + 1)
+    d = 1e-2 * 0.5 ** np.arange(4)
     seq = d[:, None, None] * disk_green(p, PlanePoint(r=r, theta=theta),
                                         PlanePoint(r=r, theta=theta - d))
-    for j in range(1, levels + 1):          # removes the O(delta^j) term
+    for j in range(1, 4):                   # removes the O(delta^j) term
         seq = (2.0 ** j * seq[1:] - seq[:-1]) / (2.0 ** j - 1.0)
     estimate = seq[0]
     _, g_theta = polar_gammas(theta)

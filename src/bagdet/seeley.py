@@ -12,8 +12,8 @@ normal distance u through a closed tau-contour integral.  The square root
 s = sqrt(xi^2 - lambda^2) is always the principal branch with Re s > 0,
 which is what the decay requirement selects.
 
-The symbol functions broadcast: each of ``theta`` (``x``), ``t``, ``u``,
-``xi``, ``tau``, ``lam`` and ``a_theta`` is a scalar or an array, the
+The symbol functions broadcast: each of ``theta``, ``t``, ``u``, ``xi``,
+``tau``, ``lam`` and ``a_theta`` is a scalar or an array, the
 arrays broadcast together, and the result has shape ``(..., 2, 2)`` with
 entry ``[j]`` equal to the scalar call at node ``j`` (one ``(2, 2)``
 matrix for scalars; ``decay_root`` gives one root per node).  Every
@@ -30,27 +30,20 @@ from typing import Callable
 
 import numpy as np
 
-from .clifford import GammaRep, gamma_t, polar_gammas, stack_2x2
+from .clifford import gamma_t, polar_gammas, stack_2x2
 from .errors import BranchError, SingularSymbolError, require
-from .quadrature import (_bessel_j_excess, _hankel1_on_ray, circle_mean,
-                         contour_closed, integrate_adaptive)
+from .quadrature import (_bessel_j_excess, _hankel1_on_ray, contour_closed,
+                         integrate_adaptive)
 
 __all__ = [
     "GaugeField",
-    "SymbolFn",
     "decay_root",
     "a1_matrix",
     "c_minus1",
     "c_minus2",
-    "a1_symbol",
-    "a0_symbol",
-    "c_minus1_symbol",
-    "c_minus2_symbol",
     "d_minus1",
     "d_tilde_minus1",
     "d_tilde_minus1_contour",
-    "compose_symbols_check",
-    "m_coefficient",
     "k_nu",
     "k_nu_bessel",
 ]
@@ -101,19 +94,6 @@ class GaugeField:
         return -self.dphi(r)
 
 
-@dataclass(frozen=True)
-class SymbolFn:
-    """Matrix-valued interior symbol, homogeneous of ``degree`` in
-    (xi, tau, lambda).
-
-    ``eval(x, t, xi, tau, lam)`` returns the k x k value; arrays give a
-    stack of shape ``(..., k, k)``.
-    """
-
-    degree: int
-    eval: Callable
-
-
 def decay_root(xi, lam):
     """Principal square root s = sqrt(xi^2 - lambda^2) with Re s > 0; a
     Python complex for scalars, an array for arrays.
@@ -156,13 +136,12 @@ def _xi_slash(theta, xi, tau) -> np.ndarray:
     return _expand(xi) * g_theta + _expand(tau) * gamma_t(theta)
 
 
-def a1_matrix(rep: GammaRep, xi, tau, lam, theta=0.0) -> np.ndarray:
+def a1_matrix(xi, tau, lam, theta=0.0) -> np.ndarray:
     """Degree-one symbol -xislash - lambda Id in the polar collar frame."""
-    return (-_xi_slash(theta, xi, tau)
-            - _expand(lam) * np.eye(rep.k, dtype=complex))
+    return -_xi_slash(theta, xi, tau) - _expand(lam) * np.eye(2, dtype=complex)
 
 
-def c_minus1(rep: GammaRep, xi, tau, lam, theta=0.0) -> np.ndarray:
+def c_minus1(xi, tau, lam, theta=0.0) -> np.ndarray:
     """Leading interior coefficient (xislash - lambda Id)/(lambda^2 - xi^2 - tau^2).
 
     This is the exact inverse of the degree-one symbol.
@@ -171,11 +150,10 @@ def c_minus1(rep: GammaRep, xi, tau, lam, theta=0.0) -> np.ndarray:
     _check_regular(denom, abs(lam) ** 2 + abs(xi) ** 2 + abs(tau) ** 2,
                    "lambda^2 - xi^2 - tau^2")
     return (_xi_slash(theta, xi, tau)
-            - _expand(lam) * np.eye(rep.k, dtype=complex)) / _expand(denom)
+            - _expand(lam) * np.eye(2, dtype=complex)) / _expand(denom)
 
 
-def c_minus2(rep: GammaRep, a_theta, xi, tau, lam, alpha,
-             theta=0.0) -> np.ndarray:
+def c_minus2(a_theta, xi, tau, lam, alpha, theta=0.0) -> np.ndarray:
     """Next interior coefficient, linear in the gauge potential.
 
     With xi.A = xi A_theta (the potential has no normal component) and the
@@ -192,45 +170,12 @@ def c_minus2(rep: GammaRep, a_theta, xi, tau, lam, alpha,
     _check_regular(denom, abs(lam) ** 2 + abs(xi) ** 2 + abs(tau) ** 2,
                    "lambda^2 - xi^2 - tau^2")
     _, g_theta = polar_gammas(theta)
-    eye = np.eye(rep.k, dtype=complex)
+    eye = np.eye(2, dtype=complex)
     xi_dot_a = xi * a_theta
     a_slash = _expand(a_theta) * g_theta
     num = (_expand(2.0 * lam * xi_dot_a) * eye - _expand(denom) * a_slash
            - _expand(2.0 * xi_dot_a) * _xi_slash(theta, xi, tau))
     return alpha * num / _expand(denom ** 2)
-
-
-def a1_symbol(rep: GammaRep) -> SymbolFn:
-    """a_1 as a SymbolFn; x is the boundary angle theta."""
-    return SymbolFn(
-        degree=1,
-        eval=lambda x, t, xi, tau, lam: a1_matrix(rep, xi, tau, lam, theta=x))
-
-
-def a0_symbol(rep: GammaRep, gauge: GaugeField, alpha: float) -> SymbolFn:
-    """a_0 = alpha Aslash evaluated at radius r = R - t."""
-
-    def ev(x, t, xi, tau, lam):
-        a0 = _expand(alpha * gauge.a_theta(gauge.R - t)) * polar_gammas(x)[1]
-        shape = np.broadcast_shapes(a0.shape[:-2], np.shape(xi),
-                                    np.shape(tau), np.shape(lam))
-        return np.broadcast_to(a0, shape + (2, 2))
-
-    return SymbolFn(degree=0, eval=ev)
-
-
-def c_minus1_symbol(rep: GammaRep) -> SymbolFn:
-    return SymbolFn(
-        degree=-1,
-        eval=lambda x, t, xi, tau, lam: c_minus1(rep, xi, tau, lam, theta=x))
-
-
-def c_minus2_symbol(rep: GammaRep, gauge: GaugeField, alpha: float) -> SymbolFn:
-    def ev(x, t, xi, tau, lam):
-        return c_minus2(rep, gauge.a_theta(gauge.R - t), xi, tau, lam, alpha,
-                        theta=x)
-
-    return SymbolFn(degree=-2, eval=ev)
 
 
 def _d_denominator(xi, lam, w, s):
@@ -324,41 +269,6 @@ def d_tilde_minus1_contour(theta, t, u, xi, lam, w) -> np.ndarray:
             theta, t, xi, tau, lam, w)
 
     return -contour_closed(integrand, 0.0, 1.0, n=128)
-
-
-def compose_symbols_check(a_list, c_list, order: int, samples) -> float:
-    """Residual of the graded symbol composition at the given order.
-
-    Products a_i c_j with deg(a_i) + deg(c_j) = order are summed; the
-    derivative terms (d_xi a)(D_x c) of the composition are not included,
-    so this checks the algebraic part of the recursion.  Returns the
-    maximum deviation (from Id at order 0, from 0 below) over the samples
-    ``(x, t, xi, tau, lam)``, which are evaluated in one call per symbol.
-    """
-    nodes = [np.array(v) for v in zip(*samples)]
-    terms = [a_sym.eval(*nodes) @ c_sym.eval(*nodes) for a_sym in a_list
-             for c_sym in c_list if a_sym.degree + c_sym.degree == order]
-    if not terms:
-        return 0.0
-    acc = sum(terms)
-    if order == 0:
-        acc = acc - np.eye(acc.shape[-1])
-    return float(np.max(np.abs(acc)))
-
-
-def m_coefficient(symbol, x, t, n_nodes: int = 256) -> np.ndarray:
-    """Angular average of a degree -nu symbol over the unit covector circle.
-
-    Computes (1/(2 pi)) int_{|(xi,tau)|=1} c(x, t; xi, tau; 0) dsigma by
-    the periodic trapezoid rule of :func:`~bagdet.quadrature.circle_mean`
-    (spectrally accurate for the trigonometric integrands at hand), with
-    one symbol call on all ``n_nodes`` covectors.  ``symbol`` is a
-    SymbolFn or a bare callable with the same signature; it must accept
-    arrays of ``xi``/``tau`` and return one matrix per node.
-    """
-    ev = getattr(symbol, "eval", symbol)
-    return circle_mean(lambda phi: ev(x, t, np.cos(phi), np.sin(phi), 0.0),
-                       n_nodes)
 
 
 _EULER_GAMMA = float(np.euler_gamma)

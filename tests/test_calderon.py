@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from bagdet.calderon import (BoundaryCondition, chiral_boundary_condition,
                              q_principal)
 from bagdet.clifford import make_rep_2d, make_rep_4d_boundary
 from bagdet.errors import BranchError, ContourError, DomainError
-from bagdet.seeley import a1_symbol, decay_root
+from bagdet.seeley import decay_root
 
 
 def tangent_frame(theta):
@@ -29,7 +27,7 @@ def test_q_lambda_contour_makes_at_most_one_batched_solve(monkeypatch):
         return inner(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
-    q_lambda_contour(a1_symbol(make_rep_2d()), 0.7, 1.3, 0.4 - 0.3j)
+    q_lambda_contour(0.7, 1.3, 0.4 - 0.3j)
     assert len(calls) <= 1
     assert all(shape == (256, 2, 2) for shape in calls)
 
@@ -39,7 +37,6 @@ def test_q_lambda_contour_batch_rows_equal_scalar_calls(monkeypatch):
     theta = rng.uniform(0, 2 * np.pi, size=12)
     xi = rng.choice([-1.0, 1.0], size=12) * rng.uniform(0.8, 1.2, size=12)
     lam = rng.uniform(-0.3, 0.3, size=12) + 1j * rng.uniform(-0.3, 0.3, 12)
-    a1 = a1_symbol(make_rep_2d())
     calls = []
     inner = np.linalg.solve
 
@@ -51,24 +48,23 @@ def test_q_lambda_contour_batch_rows_equal_scalar_calls(monkeypatch):
     # each row's own circle, then one explicit circle around -i for all
     for circle in (None, (-1j, 0.5)):
         calls.clear()
-        batch = q_lambda_contour(a1, theta, xi, lam, circle=circle)
+        batch = q_lambda_contour(theta, xi, lam, circle=circle)
         assert calls == [(256, 12, 2, 2)]
         assert batch.shape == (12, 2, 2)
         for j in range(12):
-            one = q_lambda_contour(a1, theta[j], xi[j], lam[j], circle=circle)
+            one = q_lambda_contour(theta[j], xi[j], lam[j], circle=circle)
             assert np.array_equal(batch[j], one), j
     # a scalar angle broadcasts against the stacked xi and lam
-    batch = q_lambda_contour(a1, 0.4, xi, lam)
-    assert np.array_equal(batch[5], q_lambda_contour(a1, 0.4, xi[5], lam[5]))
+    batch = q_lambda_contour(0.4, xi, lam)
+    assert np.array_equal(batch[5], q_lambda_contour(0.4, xi[5], lam[5]))
 
 
 def test_q_lambda_contour_one_bad_row_fails_the_batch():
-    a1 = a1_symbol(make_rep_2d())
     # xi = 1, lam = 0 puts the eigenvalues -+i on the unit circle
     xi = np.array([2.0, 1.0, 3.0])
     with pytest.raises(ContourError):
-        q_lambda_contour(a1, 0.0, xi, 0.0, circle=(0.0, 1.0))
-    q_lambda_contour(a1, 0.0, xi[[0, 2]], 0.0, circle=(0.0, 1.0))
+        q_lambda_contour(0.0, xi, 0.0, circle=(0.0, 1.0))
+    q_lambda_contour(0.0, xi[[0, 2]], 0.0, circle=(0.0, 1.0))
 
 
 def test_q_principal_2d_heaviside():
@@ -184,8 +180,6 @@ def test_disk_q_lambda_cuts_where_decay_root_does():
 
 
 def test_contour_matches_closed_form():
-    rep = make_rep_2d()
-    a1 = a1_symbol(rep)
     rng = np.random.default_rng(11)
     for _ in range(40):
         theta = rng.uniform(0, 2 * np.pi)
@@ -194,14 +188,12 @@ def test_contour_matches_closed_form():
         if abs(xi * xi - lam * lam) < 0.1:
             continue
         closed = disk_q_lambda(theta, xi, lam)
-        contour = q_lambda_contour(a1, theta, xi, lam)
+        contour = q_lambda_contour(theta, xi, lam)
         assert np.max(np.abs(closed - contour)) < 1e-8
 
 
 def test_contour_recovers_projector_at_zero():
-    rep = make_rep_2d()
-    a1 = a1_symbol(rep)
-    q = q_lambda_contour(a1, 0.7, 1.0, 0.0)
+    q = q_lambda_contour(0.7, 1.0, 0.0)
     assert np.allclose(q, np.diag([1.0, 0.0]), atol=1e-10)
 
 
@@ -212,12 +204,10 @@ def test_disk_bc_degree_zero_in_xi():
 
 
 def test_contour_rejects_eigenvalue_on_circle():
-    rep = make_rep_2d()
-    a1 = a1_symbol(rep)
     # eigenvalues are at -+ i sqrt(xi^2 - lam^2) = -+ i for xi=1, lam=0;
     # a circle through -i must be refused
     with pytest.raises(ContourError):
-        q_lambda_contour(a1, 0.0, 1.0, 0.0, circle=(0.0, 1.0))
+        q_lambda_contour(0.0, 1.0, 0.0, circle=(0.0, 1.0))
 
 
 def test_disk_q_lambda_and_rank_batch_match_scalar_calls():
@@ -271,7 +261,7 @@ def test_check_ellipticity_makes_one_q_and_one_b_call():
     calls = []
     bc = disk_boundary_condition(0.8 + 0.1j)
     counted = BoundaryCondition(
-        r=1, b=lambda th, xi: calls.append("b") or bc.b(th, xi))
+        b=lambda th, xi: calls.append("b") or bc.b(th, xi))
     samples = [(2 * np.pi * j / 32, (1.0, -2.0)[j % 2]) for j in range(32)]
     report = check_ellipticity(
         counted,
@@ -321,16 +311,6 @@ def test_ellipticity_empty_samples():
     bc = disk_boundary_condition(1.0)
     with pytest.raises(ValueError):
         check_ellipticity(bc, lambda th, xi: disk_q_lambda(th, xi, 0.0), [])
-
-
-def test_report_json_roundtrip():
-    bc = disk_boundary_condition(0.5 + 0.5j)
-    report = check_ellipticity(
-        bc, lambda th, xi: disk_q_lambda(th, xi, 0.0), [(0.1, 1.0)])
-    payload = json.loads(report.to_json())
-    assert payload["passed"] is True
-    assert payload["entries"][0]["rank_q"] == 1
-    assert "rank_rel_tol" in payload
 
 
 def test_witness_examples():

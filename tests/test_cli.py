@@ -1,10 +1,12 @@
 import builtins
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bagdet
 from bagdet import cli, determinant, greens, seeley
 from bagdet.cli import (DEFAULT_TOLERANCES, SWEEP_BLOCK, RunConfig,
                         build_config, main)
@@ -412,6 +415,9 @@ def test_ellipticity_mode(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
+    assert payload["disk"]["rank_rel_tol"] == 1e-9
+    assert len(payload["disk"]["entries"]) == 32
+    assert all(e["rank_q"] == 1 for e in payload["disk"]["entries"])
     assert all(e["bq_norm"] < 1e-12 for e in payload["chiral_obstruction"])
 
 
@@ -564,6 +570,19 @@ def test_no_mode_imports_scipy(tmp_path):
         "                                     'decimal', '_decimal',\n"
         "                                     'fractions')]\n"
         "    assert not loaded, (args, loaded)\n"))
+
+
+def test_every_exported_name_resolves():
+    # the benchmark's tracer calls getattr on each __all__ entry of the
+    # modules it wraps, so a stale entry would crash a traced run
+    modules = [bagdet] + [importlib.import_module(f"bagdet.{m.name}")
+                          for m in pkgutil.iter_modules(bagdet.__path__)]
+    exported = [(m.__name__, attr) for m in modules
+                for attr in getattr(m, "__all__", ())]
+    assert {"bagdet.clifford", "bagdet.profiles"} <= {n for n, _ in exported}
+    stale = [f"{name}.{attr}" for name, attr in exported
+             if not hasattr(importlib.import_module(name), attr)]
+    assert not stale
 
 
 def test_every_mode_runs_with_scipy_blocked(tmp_path):

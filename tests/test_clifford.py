@@ -1,8 +1,7 @@
 import numpy as np
 
-from bagdet.clifford import (anticommutator, gamma_t, make_rep_2d,
-                             make_rep_4d_boundary, mats_close, polar_gammas,
-                             slash)
+from bagdet.clifford import (gamma_t, make_rep_2d, make_rep_4d_boundary,
+                             polar_gammas, slash)
 
 ATOL = 1e-14
 
@@ -24,9 +23,10 @@ def test_rep_2d_pauli_products():
     # gamma_mu gamma_nu = delta_{mu nu} I + i eps_{mu nu} gamma5
     rep = make_rep_2d()
     eye = np.eye(2)
-    assert mats_close(rep.gammas[0] @ rep.gammas[1], 1j * rep.gamma5, ATOL)
-    assert mats_close(rep.gammas[1] @ rep.gammas[0], -1j * rep.gamma5, ATOL)
-    assert mats_close(rep.gammas[0] @ rep.gammas[0], eye, ATOL)
+    g0, g1 = rep.gammas
+    assert np.allclose(g0 @ g1, 1j * rep.gamma5, rtol=0, atol=ATOL)
+    assert np.allclose(g1 @ g0, -1j * rep.gamma5, rtol=0, atol=ATOL)
+    assert np.allclose(g0 @ g0, eye, rtol=0, atol=ATOL)
 
 
 def test_anticommutation_both_reps():
@@ -34,7 +34,8 @@ def test_anticommutation_both_reps():
         eye = np.eye(rep.k)
         for i in range(rep.nu):
             for j in range(rep.nu):
-                ac = anticommutator(rep.gammas[i], rep.gammas[j])
+                a, b = rep.gammas[i], rep.gammas[j]
+                ac = a @ b + b @ a
                 expected = 2.0 * eye if i == j else np.zeros((rep.k, rep.k))
                 assert np.max(np.abs(ac - expected)) < ATOL, (rep.nu, i, j)
 
@@ -45,7 +46,7 @@ def test_rep_4d_block_structure():
     assert np.array_equal(gn[:2, 2:], 1j * np.eye(2))
     assert np.array_equal(gn[2:, :2], -1j * np.eye(2))
     # direct multiplication oracle: gamma_n squared
-    assert mats_close(gn @ gn, np.eye(4), ATOL)
+    assert np.allclose(gn @ gn, np.eye(4), rtol=0, atol=ATOL)
     for g in rep.gammas[1:]:
         assert abs(np.trace(g)) < ATOL
 
@@ -53,22 +54,22 @@ def test_rep_4d_block_structure():
 def test_rep_4d_gamma5_anticommutes():
     rep = make_rep_4d_boundary()
     for g in rep.gammas:
-        assert np.max(np.abs(anticommutator(rep.gamma5, g))) < ATOL
+        assert np.max(np.abs(rep.gamma5 @ g + g @ rep.gamma5)) < ATOL
 
 
 def test_polar_frame_at_zero():
     rep = make_rep_2d()
     gr, gth = polar_gammas(0.0)
-    assert mats_close(gr, rep.gammas[0], ATOL)
-    assert mats_close(gth, rep.gammas[1], ATOL)
+    assert np.allclose(gr, rep.gammas[0], rtol=0, atol=ATOL)
+    assert np.allclose(gth, rep.gammas[1], rtol=0, atol=ATOL)
 
 
 def test_polar_frame_at_half_pi():
     # substituting theta = pi/2: e^{-i pi/2} = -i, e^{i pi/2} = i
     gr, _ = polar_gammas(np.pi / 2)
     expected = np.array([[0.0, -1j], [1j, 0.0]])
-    assert mats_close(gr, expected, ATOL)
-    assert mats_close(gr, make_rep_2d().gammas[1], ATOL)
+    assert np.allclose(gr, expected, rtol=0, atol=ATOL)
+    assert np.allclose(gr, make_rep_2d().gammas[1], rtol=0, atol=ATOL)
 
 
 def test_polar_frame_properties():
@@ -76,25 +77,26 @@ def test_polar_frame_properties():
     eye = np.eye(2)
     for theta in rng.uniform(-10, 10, size=100):
         gr, gth = polar_gammas(theta)
-        assert mats_close(gr @ gr, eye, ATOL)
-        assert mats_close(gth @ gth, eye, ATOL)
-        assert np.max(np.abs(anticommutator(gr, gth))) < ATOL
+        assert np.allclose(gr @ gr, eye, rtol=0, atol=ATOL)
+        assert np.allclose(gth @ gth, eye, rtol=0, atol=ATOL)
+        assert np.max(np.abs(gr @ gth + gth @ gr)) < ATOL
         for g in (gr, gth):
-            assert mats_close(g, g.conj().T, ATOL)          # hermitian
-            assert mats_close(g @ g.conj().T, eye, ATOL)     # unitary
+            # hermitian and unitary
+            assert np.allclose(g, g.conj().T, rtol=0, atol=ATOL)
+            assert np.allclose(g @ g.conj().T, eye, rtol=0, atol=ATOL)
 
 
 def test_gamma_t_is_minus_radial():
     for theta in (0.0, 1.1, -2.7):
         gr, _ = polar_gammas(theta)
-        assert mats_close(gamma_t(theta), -gr, ATOL)
+        assert np.allclose(gamma_t(theta), -gr, rtol=0, atol=ATOL)
 
 
 def test_slash_contraction():
     rep = make_rep_2d()
     v = np.array([0.3, -1.2])
     expected = 0.3 * rep.gammas[0] - 1.2 * rep.gammas[1]
-    assert mats_close(slash(rep.gammas, v), expected, ATOL)
+    assert np.allclose(slash(rep.gammas, v), expected, rtol=0, atol=ATOL)
 
 
 def test_slash_stack_equals_scalar_calls():
@@ -107,9 +109,3 @@ def test_slash_stack_equals_scalar_calls():
             assert np.allclose(stacked[idx], slash(rep.gammas, vectors[idx]),
                                rtol=1e-14, atol=0)
 
-
-def test_mats_close_tolerance():
-    a = np.eye(2)
-    assert mats_close(a, a + 1e-13, 1e-12)
-    assert not mats_close(a, a + 1e-11, 1e-12)
-    assert not mats_close(a, np.eye(3))

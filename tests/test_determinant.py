@@ -11,9 +11,9 @@ from bagdet.determinant import (ContourSpec, a_squared_integral,
                                 boundary_term, bulk_c2_bessel_oracle,
                                 bulk_c2_term, bulk_log_term, flux,
                                 gamma_log_contour, ln_det_ratio, log_branch,
-                                residue_check, singularity_cancellation_check)
+                                residue_check)
 from bagdet.errors import BranchError, ContourError, DomainError
-from bagdet.greens import DiskProblem
+from bagdet.greens import DiskProblem, diagonal_singularity_coefficient
 from bagdet.profiles import gaussian, poly2, polynomial
 from bagdet.quadrature import integrate_adaptive, integrate_gauss_legendre
 from bagdet.seeley import d_tilde_minus1
@@ -171,9 +171,17 @@ def test_boundary_antiderivative_identity():
 
 
 def test_singularity_cancellation():
+    # tr(A_theta gamma_theta G_B) has the pole of the interior counterterm
+    # A_theta/(pi i r) as the angles merge: tr(gamma_theta^2) = 2
     p = standard_problem(w=np.e, alpha=1.0)
-    out = singularity_cancellation_check(p)
-    assert out["max_rel_err"] < 1e-4
+    theta0 = 0.7
+    _, g_theta = polar_gammas(theta0)
+    for r in (0.3 * p.R, 0.5 * p.R, 0.7 * p.R):
+        a_th = p.gauge.a_theta(r)
+        estimate, _, _ = diagonal_singularity_coefficient(p, r, theta0)
+        coefficient = np.trace(a_th * g_theta @ estimate)
+        target = a_th / (1j * np.pi * r)
+        assert abs(coefficient - target) < 1e-4 * abs(target)
 
 
 def test_ln_det_ratio_closing_values():

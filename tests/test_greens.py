@@ -4,7 +4,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bagdet import determinant, greens
-from bagdet.clifford import polar_gammas
 from bagdet.errors import DomainError, SingularityError
 from bagdet.greens import (DiskProblem, PlanePoint, boundary_residual,
                            diagonal_singularity_coefficient, disk_green,
@@ -291,11 +290,15 @@ def test_pde_residual_makes_at_most_two_green_calls(green_calls):
 
 def test_singularity_coefficient_makes_one_green_call(green_calls):
     p = standard_problem(w=0.9, alpha=0.6, phi0=0.7)
-    diagonal_singularity_coefficient(p, 0.5, 0.8, levels=3)
+    estimate, _, _ = diagonal_singularity_coefficient(p, 0.5, 0.8)
     assert green_calls == [(4,)]
-    green_calls.clear()
-    determinant.singularity_cancellation_check(p, radii=(0.3, 0.5))
-    assert green_calls == [(4,), (4,)]
+    # the batched separations give the scalar Richardson table
+    seq = [d * disk_green(p, PlanePoint(0.5, 0.8), PlanePoint(0.5, 0.8 - d))
+           for d in 1e-2 * 0.5 ** np.arange(4)]
+    for j in range(1, 4):
+        seq = [(2.0 ** j * seq[i + 1] - seq[i]) / (2.0 ** j - 1.0)
+               for i in range(len(seq) - 1)]
+    assert np.max(np.abs(estimate - seq[0])) <= 1e-14 * np.max(np.abs(seq[0]))
 
 
 def test_pde_residual_matches_scalar_stencil():
@@ -341,23 +344,6 @@ def test_pde_residual_batch_is_max_of_pair_calls(green_calls):
         for j in range(8))
     empty = PlanePoint(np.empty(0), np.empty(0))
     assert pde_residual(p, empty, empty) == 0.0
-
-
-def test_singularity_cancellation_matches_scalar_richardson():
-    p = standard_problem(w=0.9, alpha=0.6, phi0=0.7)
-    theta0, delta0, levels = 0.7, 1e-2, 3
-    _, g_theta = polar_gammas(theta0)
-    out = determinant.singularity_cancellation_check(p)
-    for entry in out["entries"]:
-        r = entry["r"]
-        a_th = p.gauge.a_theta(r)
-        seq = [d * np.trace(a_th * g_theta @ disk_green(
-            p, PlanePoint(r, theta0), PlanePoint(r, theta0 - d)))
-            for d in delta0 * 0.5 ** np.arange(levels + 1)]
-        for j in range(1, levels + 1):
-            seq = [(2.0 ** j * seq[i + 1] - seq[i]) / (2.0 ** j - 1.0)
-                   for i in range(len(seq) - 1)]
-        assert abs(entry["coefficient"] - seq[0]) <= 1e-14 * abs(seq[0])
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, 1e-200, 1e200, float("nan")])

@@ -4,15 +4,12 @@ import pytest
 from bagdet import quadrature, seeley
 from bagdet.clifford import gamma_t, make_rep_2d, polar_gammas
 from bagdet.errors import BagdetError, BranchError, SingularSymbolError
-from bagdet.seeley import (GaugeField, a0_symbol, a1_matrix, a1_symbol,
-                           c_minus1, c_minus1_symbol, c_minus2,
-                           c_minus2_symbol, compose_symbols_check, d_minus1,
+from bagdet.quadrature import circle_mean
+from bagdet.seeley import (GaugeField, a1_matrix, c_minus1, c_minus2, d_minus1,
                            d_tilde_minus1, d_tilde_minus1_contour, k_nu,
-                           k_nu_bessel, m_coefficient)
+                           k_nu_bessel)
 
 EULER_GAMMA = 0.5772156649015329
-
-REP = make_rep_2d()
 
 
 def admissible_sample(rng, w_fixed=None):
@@ -29,10 +26,10 @@ def admissible_sample(rng, w_fixed=None):
 def test_c_minus1_frame_values():
     # (xi=0, tau=1, lam=0): (tau gamma_t)/(-tau^2) = -gamma_t
     for theta in (0.0, 1.3):
-        assert np.allclose(c_minus1(REP, 0.0, 1.0, 0.0, theta=theta),
+        assert np.allclose(c_minus1(0.0, 1.0, 0.0, theta=theta),
                            -gamma_t(theta), atol=1e-14)
         _, g_theta = polar_gammas(theta)
-        assert np.allclose(c_minus1(REP, 1.0, 0.0, 0.0, theta=theta),
+        assert np.allclose(c_minus1(1.0, 0.0, 0.0, theta=theta),
                            -g_theta, atol=1e-14)
 
 
@@ -44,14 +41,14 @@ def test_c_minus1_inverts_a1():
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if abs(lam ** 2 - xi ** 2 - tau ** 2) < 0.05:
             continue
-        prod = a1_matrix(REP, xi, tau, lam, theta) @ \
-            c_minus1(REP, xi, tau, lam, theta)
+        prod = a1_matrix(xi, tau, lam, theta) @ \
+            c_minus1(xi, tau, lam, theta)
         assert np.max(np.abs(prod - np.eye(2))) < 1e-12
 
 
 def test_c_minus1_singular_denominator():
     with pytest.raises(SingularSymbolError):
-        c_minus1(REP, 1.0, 0.0, 1.0)
+        c_minus1(1.0, 0.0, 1.0)
 
 
 def test_c_minus1_homogeneity():
@@ -63,15 +60,15 @@ def test_c_minus1_homogeneity():
         if abs(lam ** 2 - xi ** 2 - tau ** 2) < 0.05:
             continue
         s = rng.uniform(0.5, 3.0)
-        a = c_minus1(REP, s * xi, s * tau, s * lam, theta)
-        b = c_minus1(REP, xi, tau, lam, theta) / s
+        a = c_minus1(s * xi, s * tau, s * lam, theta)
+        b = c_minus1(xi, tau, lam, theta) / s
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_c_minus2_trivial_cases():
-    assert np.allclose(c_minus2(REP, 0.0, 1.0, 0.5, 0.3j, 0.8),
+    assert np.allclose(c_minus2(0.0, 1.0, 0.5, 0.3j, 0.8),
                        np.zeros((2, 2)))
-    assert np.allclose(c_minus2(REP, 1.3, 1.0, 0.5, 0.3j, 0.0),
+    assert np.allclose(c_minus2(1.3, 1.0, 0.5, 0.3j, 0.0),
                        np.zeros((2, 2)))
 
 
@@ -84,8 +81,8 @@ def test_c_minus2_homogeneity_degree_two():
         if abs(lam ** 2 - xi ** 2 - tau ** 2) < 0.05:
             continue
         s = 2.0
-        a = c_minus2(REP, 0.7, s * xi, s * tau, s * lam, 0.9, theta)
-        b = c_minus2(REP, 0.7, xi, tau, lam, 0.9, theta) / s ** 2
+        a = c_minus2(0.7, s * xi, s * tau, s * lam, 0.9, theta)
+        b = c_minus2(0.7, xi, tau, lam, 0.9, theta) / s ** 2
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-14)
 
 
@@ -100,9 +97,9 @@ def test_c_minus2_equals_sandwich():
             continue
         a_th, alpha = rng.uniform(0.2, 1.5, size=2)
         _, g_theta = polar_gammas(theta)
-        c1 = c_minus1(REP, xi, tau, lam, theta)
+        c1 = c_minus1(xi, tau, lam, theta)
         sandwich = -alpha * c1 @ (a_th * g_theta) @ c1
-        assert np.allclose(c_minus2(REP, a_th, xi, tau, lam, alpha, theta),
+        assert np.allclose(c_minus2(a_th, xi, tau, lam, alpha, theta),
                            sandwich, atol=1e-13)
 
 
@@ -114,7 +111,7 @@ def test_d_minus1_boundary_condition():
         tau = rng.uniform(-2, 2)
         try:
             d0 = d_minus1(theta, 0.0, xi, tau, lam, w)
-            c1 = c_minus1(REP, xi, tau, lam, theta=theta)
+            c1 = c_minus1(xi, tau, lam, theta=theta)
         except BagdetError:
             continue
         b0 = np.array([[1.0, w * np.exp(-1j * theta)]])
@@ -137,7 +134,7 @@ def test_d_minus1_normal_ode():
         h = 1e-5
         ddt = (d_minus1(theta, t + h, xi, tau, lam, w)
                - d_minus1(theta, t - h, xi, tau, lam, w)) / (2 * h)
-        m = xi * REP.gamma5 + 1j * lam * gamma_t(theta)
+        m = xi * make_rep_2d().gamma5 + 1j * lam * gamma_t(theta)
         res = ddt + m @ d_mid
         assert np.max(np.abs(res)) < 1e-6 * max(np.max(np.abs(d_mid)), 1.0)
 
@@ -247,14 +244,14 @@ def test_c_minus2_batch_matches_scalar_calls():
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         xis = rng.normal(size=25)
         taus = rng.normal(size=25) + 1j * rng.normal(size=25)
-        scalar = np.stack([c_minus2(REP, a_th, x, tau, lam, alpha, theta)
+        scalar = np.stack([c_minus2(a_th, x, tau, lam, alpha, theta)
                            for x, tau in zip(xis, taus)])
-        batch = c_minus2(REP, a_th, xis, taus, lam, alpha, theta)
+        batch = c_minus2(a_th, xis, taus, lam, alpha, theta)
         assert batch.shape == (25, 2, 2)
         np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
-        scalar1 = np.stack([c_minus1(REP, x, tau, lam, theta)
+        scalar1 = np.stack([c_minus1(x, tau, lam, theta)
                             for x, tau in zip(xis, taus)])
-        np.testing.assert_allclose(c_minus1(REP, xis, taus, lam, theta),
+        np.testing.assert_allclose(c_minus1(xis, taus, lam, theta),
                                    scalar1, rtol=1e-14, atol=0)
 
 
@@ -265,9 +262,9 @@ def test_interior_symbols_broadcast_over_lambda_theta_and_potential():
     xi, a_th = rng.normal(size=n), rng.uniform(0.2, 1.5, size=n)
     tau = rng.normal(size=n) + 1j * rng.normal(size=n)
     lam = rng.uniform(-1, 1, size=n) + 1j * rng.uniform(-1, 1, size=n)
-    for fn, args in [(a1_matrix, (REP, xi, tau, lam, theta)),
-                     (c_minus1, (REP, xi, tau, lam, theta)),
-                     (c_minus2, (REP, a_th, xi, tau, lam, 0.8, theta)),
+    for fn, args in [(a1_matrix, (xi, tau, lam, theta)),
+                     (c_minus1, (xi, tau, lam, theta)),
+                     (c_minus2, (a_th, xi, tau, lam, 0.8, theta)),
                      (lambda th: polar_gammas(th)[1], (theta,))]:
         batch = fn(*args)
         scalar = np.stack([fn(*(a[j] if np.ndim(a) else a for a in args))
@@ -284,9 +281,9 @@ def test_one_singular_node_in_a_batch_raises():
         d_minus1(0.4, 0.1, xi, taus, lam, 1.0)
     xis = np.full(9, xi)
     with pytest.raises(SingularSymbolError):
-        c_minus1(REP, xis, taus, lam)
+        c_minus1(xis, taus, lam)
     with pytest.raises(SingularSymbolError):
-        c_minus2(REP, 0.7, xis, taus, lam, 1.0)
+        c_minus2(0.7, xis, taus, lam, 1.0)
 
 
 def test_singular_check_scale_is_real_at_complex_tau():
@@ -300,9 +297,9 @@ def test_singular_check_scale_is_real_at_complex_tau():
     with pytest.raises(SingularSymbolError):
         d_minus1(0.0, 0.0, xi, tau, lam, 1.0)
     with pytest.raises(SingularSymbolError):
-        c_minus1(REP, xi, tau, lam)
+        c_minus1(xi, tau, lam)
     with pytest.raises(SingularSymbolError):
-        c_minus2(REP, 0.5, xi, tau, lam, 1.0)
+        c_minus2(0.5, xi, tau, lam, 1.0)
 
 
 def test_d_tilde_contour_makes_one_batched_d_minus1_call(monkeypatch):
@@ -379,49 +376,18 @@ def test_d_tilde_scale_invariance():
         assert np.max(np.abs(a - b)) < 1e-11 * max(np.max(np.abs(b)), 1e-14)
 
 
-def test_compose_order_zero():
-    gauge = GaugeField(phi=lambda r: 0.5 * r ** 2, dphi=lambda r: r, R=1.0)
-    a_list = [a1_symbol(REP), a0_symbol(REP, gauge, 0.7)]
-    c_list = [c_minus1_symbol(REP), c_minus2_symbol(REP, gauge, 0.7)]
-    samples = [(0.3, 0.2, 1.1, -0.4, 0.2 + 0.1j),
-               (1.7, 0.5, -0.8, 1.3, -0.3 + 0.4j)]
-    assert compose_symbols_check(a_list, c_list, 0, samples) < 1e-12
-
-
 def test_compose_order_minus_one():
-    gauge = GaugeField(phi=lambda r: 0.5 * r ** 2, dphi=lambda r: r, R=1.0)
-    a_list = [a1_symbol(REP), a0_symbol(REP, gauge, 0.7)]
-    c_list = [c_minus1_symbol(REP), c_minus2_symbol(REP, gauge, 0.7)]
-    samples = [(0.3, 0.2, 1.1, -0.4, 0.2 + 0.1j),
-               (1.7, 0.5, -0.8, 1.3, -0.3 + 0.4j)]
-    assert compose_symbols_check(a_list, c_list, -1, samples) < 1e-12
-
-
-def test_compose_free_operator():
-    gauge = GaugeField(phi=lambda r: 0.0, dphi=lambda r: 0.0, R=1.0)
-    a_list = [a1_symbol(REP), a0_symbol(REP, gauge, 0.0)]
-    c_list = [c_minus1_symbol(REP), c_minus2_symbol(REP, gauge, 0.0)]
-    samples = [(0.3, 0.2, 1.1, -0.4, 0.2 + 0.1j)]
-    assert compose_symbols_check(a_list, c_list, -1, samples) == 0.0
-
-
-def test_m_coefficient_constant_symbol():
-    const = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    avg = m_coefficient(
-        lambda x, t, xi, tau, lam: np.broadcast_to(const, xi.shape + (2, 2)),
-        0.0, 0.1)
-    assert np.allclose(avg, const, atol=1e-14)
-
-
-def test_m_coefficient_disk_average_vanishes():
-    gauge = GaugeField(phi=lambda r: 1.0 - r ** 2, dphi=lambda r: -2.0 * r,
-                       R=1.0)
-    sym = c_minus2_symbol(REP, gauge, 1.0)
-    avg = m_coefficient(sym, 0.0, 0.4)
-    assert np.max(np.abs(avg)) < 1e-14
-    zero_gauge = GaugeField(phi=lambda r: 0.0, dphi=lambda r: 0.0, R=1.0)
-    avg0 = m_coefficient(c_minus2_symbol(REP, zero_gauge, 1.0), 0.0, 0.4)
-    assert np.max(np.abs(avg0)) == 0.0
+    # order -1 of the symbol equation: a_1 c_{-2} + a_0 c_{-1} = 0, with
+    # a_0 = alpha Aslash; the derivative terms of the composition enter
+    # only at lower order
+    a_th, alpha = 0.8, 0.7
+    for theta, xi, tau, lam in [(0.3, 1.1, -0.4, 0.2 + 0.1j),
+                                (1.7, -0.8, 1.3, -0.3 + 0.4j)]:
+        a_slash = alpha * a_th * polar_gammas(theta)[1]
+        residual = (a1_matrix(xi, tau, lam, theta)
+                    @ c_minus2(a_th, xi, tau, lam, alpha, theta)
+                    + a_slash @ c_minus1(xi, tau, lam, theta))
+        assert np.allclose(residual, 0.0, rtol=0, atol=1e-12)
 
 
 def test_angular_average_tau2_minus_xi2():
@@ -493,27 +459,12 @@ def test_gauge_field_validation():
     assert g.a_theta(0.5) == -1.0
 
 
-def test_m_coefficient_makes_one_symbol_call():
-    calls = []
-
-    def ev(x, t, xi, tau, lam):
-        calls.append(np.shape(xi))
-        return c_minus1(REP, xi, tau, lam + 0.4, theta=x)
-
-    avg = m_coefficient(ev, 0.3, 0.2, n_nodes=128)
-    assert calls == [(128,)]
+def test_c_minus1_angular_mean():
     phis = 2 * np.pi * np.arange(128) / 128
-    loop = sum(c_minus1(REP, np.cos(p), np.sin(p), 0.4, theta=0.3)
+    mean = circle_mean(
+        lambda phi: c_minus1(np.cos(phi), np.sin(phi), 0.4, theta=0.3), 128)
+    loop = sum(c_minus1(np.cos(p), np.sin(p), 0.4, theta=0.3)
                for p in phis) / 128
-    assert np.allclose(avg, loop, rtol=1e-14, atol=1e-15)
+    assert np.allclose(mean, loop, rtol=1e-14, atol=1e-15)
     # (xislash - lam)/(lam^2 - 1) averages to -lam/(lam^2 - 1) Id
-    assert np.allclose(avg, 0.4 / 0.84 * np.eye(2), rtol=1e-14, atol=1e-15)
-
-
-def test_m_coefficient_of_a0_is_a0():
-    gauge = GaugeField(phi=lambda r: 1.0 - r ** 3, dphi=lambda r: -3.0 * r ** 2,
-                       R=1.0)
-    sym = a0_symbol(REP, gauge, 0.8)
-    assert sym.eval(0.3, 0.2, np.zeros(5), np.ones(5), 0.0).shape == (5, 2, 2)
-    assert np.allclose(m_coefficient(sym, 0.3, 0.2),
-                       sym.eval(0.3, 0.2, 1.0, 0.0, 0.0), rtol=1e-14, atol=0)
+    assert np.allclose(mean, 0.4 / 0.84 * np.eye(2), rtol=1e-14, atol=1e-15)
