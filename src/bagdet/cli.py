@@ -480,7 +480,8 @@ def _run_verify(cfg: RunConfig) -> int:
                 "pass": bool(value <= tol)} for name, value, tol in checks]
     passed = all(e["pass"] for e in entries)
     payload = {
-        "config": {k: v for k, v in vars(cfg).items() if k != "tolerances"},
+        "config": {k: v for k, v in vars(cfg).items()
+                   if k not in ("tolerances", "output_path", "sweep_spec")},
         "checks": entries,
         "determinant": result.to_json_dict(),
         "passed": passed,

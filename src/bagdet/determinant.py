@@ -240,16 +240,16 @@ def a_squared_quadrature(gauge: GaugeField) -> QuadratureResult:
                             nodes_used=res.nodes_used)
 
 
-def bulk_c2_term(gauge: GaugeField, alpha: float) -> float:
-    """First bulk contribution -(alpha/2 pi) int A.A d^2x, with the integral
-    from :func:`a_squared_integral`."""
-    return float(-alpha / (2.0 * np.pi) * a_squared_integral(gauge).value.real)
+def bulk_c2_term(gauge: GaugeField) -> float:
+    """First bulk contribution at unit coupling, -(1/2 pi) int A.A d^2x,
+    with the integral from :func:`a_squared_integral`."""
+    return float(-1.0 / (2.0 * np.pi) * a_squared_integral(gauge).value.real)
 
 
-def bulk_c2_bessel_oracle(gauge: GaugeField, alpha: float) -> float:
-    """Bulk term through the point-split Bessel kernel.
+def bulk_c2_bessel_oracle(gauge: GaugeField) -> float:
+    """Bulk term at unit coupling through the point-split Bessel kernel.
 
-    Evaluates -(alpha/pi) int A.A d^2x * int_split^inf J_2(u)/u du at the
+    Evaluates -(1/pi) int A.A d^2x * int_split^inf J_2(u)/u du at the
     two split values 1e-3 and 5e-4 and Richardson-extrapolates the
     O(split^2) cutoff error away.  Must converge to :func:`bulk_c2_term`.
     """
@@ -258,7 +258,7 @@ def bulk_c2_bessel_oracle(gauge: GaugeField, alpha: float) -> float:
     b2 = j2_over_u_integral(0.5 * split).value.real
     bessel_part = (4.0 * b2 - b1) / 3.0
     asq = a_squared_integral(gauge).value.real
-    return float(-alpha / np.pi * asq * bessel_part)
+    return float(-1.0 / np.pi * asq * bessel_part)
 
 
 def _angular_average_factor(lam: np.ndarray, n_ang: int) -> np.ndarray:
@@ -269,13 +269,13 @@ def _angular_average_factor(lam: np.ndarray, n_ang: int) -> np.ndarray:
                         - 2.0 * circle_mean(lambda phi: np.cos(phi) ** 2, n_ang))
 
 
-def bulk_log_term(gauge: GaugeField, alpha: float,
-                  spec: ContourSpec | None = None, n_ang: int = 64) -> float:
-    """Second bulk contribution, by spectral-contour quadrature.
+def bulk_log_term(gauge: GaugeField, spec: ContourSpec | None = None,
+                  n_ang: int = 64) -> float:
+    """Second bulk contribution at unit coupling, by contour quadrature.
 
     Evaluates
 
-        -(i alpha / 4 pi^3) int A.A d^2x
+        -(i / 4 pi^3) int A.A d^2x
             oint log(lambda)/(lambda (lambda^2-1)^2)
                  int_{S^1} (1 - lambda^2 - 2 xi^2) dsigma  d lambda
 
@@ -294,7 +294,7 @@ def bulk_log_term(gauge: GaugeField, alpha: float,
 
     contour = gamma_log_contour(g, spec)
     asq = a_squared_integral(gauge).value.real
-    value = -1j * alpha / (4.0 * np.pi ** 3) * asq * contour.value
+    value = -1j / (4.0 * np.pi ** 3) * asq * contour.value
     if abs(value.imag) > 1e-7 * max(1.0, abs(value.real)):
         raise AccuracyError(
             f"bulk contour term has spurious imaginary part {value.imag:g}",
@@ -515,12 +515,12 @@ def ln_det_ratio(p: DiskProblem, run_oracles: bool = True) -> DeterminantResult:
         quad = a_squared_quadrature(p.gauge)
         diag["a_squared_abs_err"] = (abs(asq.value - quad.value)
                                      + quad.abs_error_estimate)
-        c2_unit = bulk_c2_term(p.gauge, 1.0)
-        log_unit = bulk_log_term(p.gauge, 1.0)
+        c2_unit = bulk_c2_term(p.gauge)
+        log_unit = bulk_log_term(p.gauge)
         ref = max(abs(c2_unit), 1e-14)
         diag["w4_vs_w3_rel"] = abs(log_unit - c2_unit) / ref
         diag["bulk_bessel_rel"] = abs(
-            bulk_c2_bessel_oracle(p.gauge, 1.0) - c2_unit) / ref
+            bulk_c2_bessel_oracle(p.gauge) - c2_unit) / ref
         gl = integrate_gauss_legendre(
             lambda a: a * (c2_unit + log_unit) + bnd, 0.0, 1.0, n=16)
         diag["alpha_quadrature_residual"] = abs(gl - total)

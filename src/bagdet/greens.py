@@ -207,21 +207,19 @@ def gauge_vector(gauge: GaugeField, x: PlanePoint):
     return np.array([dp * np.sin(x.theta), -dp * np.cos(x.theta)])
 
 
-def pde_residual(p: DiskProblem, x: PlanePoint, y: PlanePoint,
-                 h: float | None = None) -> float:
+def pde_residual(p: DiskProblem, x: PlanePoint, y: PlanePoint) -> float:
     """Finite-difference residual of the operator applied to G_B in x.
 
     Applies i gamma_mu d_mu + alpha Aslash with fourth-order central
-    stencils of step h (default 1e-4 R); away from x = y the residual is
-    pure truncation error.
+    stencils of step h = 1e-4 R; away from x = y the residual is pure
+    truncation error.
 
     ``x`` and ``y`` may be stacks of points that broadcast to a batch
     shape S; the result is the largest residual over the stack (0.0 for
     an empty one) and equals the max of the per-pair calls.  The
     ``(8,) + S`` stencil and G_B(x, y) take one ``disk_green`` call each.
     """
-    if h is None:
-        h = 1e-4 * p.R
+    h = 1e-4 * p.R
     batch = np.broadcast_shapes(np.shape(x.X), np.shape(y.X))
     x0, x1 = (np.broadcast_to(c, (4,) + batch) for c in x.xy)
     steps = (h * np.array([-2.0, -1.0, 1.0, 2.0])).reshape(

@@ -10,14 +10,12 @@ It has three rules:
 - fixed Gauss-Legendre rules (:func:`gauss_legendre_panel`,
   :func:`integrate_gauss_legendre`).
 
-It also holds the split Bessel integral of the bulk oracle and the
-private Bessel and Hankel functions that it and ``seeley.k_nu_bessel``
-use, built from these rules, ``numpy`` and ``math`` alone: J_n of
-integer order by Bessel's integral on the periodic rule, J_m on [0, 1]
-by its power series, and H^(1)_m by its Laplace-type integral on the
-double-exponential rule.  Every rule takes a batched integrand: ``f``
-receives its nodes as one array and returns one value per node along
-axis 0 (complex values are integrated in one pass).
+It also holds the bulk oracle's Bessel constant J_1(s)/s in closed form,
+and for ``seeley.k_nu_bessel`` J_m on [0, 1] by its power series and
+H^(1)_m by its Laplace-type integral on the double-exponential rule.
+Every rule takes a batched integrand: ``f`` receives its nodes as one
+array and returns one value per node along axis 0 (complex values are
+integrated in one pass).
 
 Everything here is deterministic: the same inputs always produce
 bit-identical outputs (fixed node sets, no randomized algorithms).
@@ -294,75 +292,28 @@ def integrate_gauss_legendre(f, a: float, b: float, n: int = 16) -> complex:
     return complex(0.5 * (b - a) * np.sum(weights * vals))
 
 
+# Coefficients (-1)^k / (2 k! (k+1)!) of J_1(s)/s in powers of s^2/4,
+# highest first; for s <= 2.5 the first term left out is below 1e-18.
+_J1_OVER_X = tuple(0.5 * (-1) ** k / (math.factorial(k) * math.factorial(k + 1))
+                   for k in range(12, -1, -1))
+
+
 def j2_over_u_integral(split: float, tol: float = 1e-11,
                        u_match: float = 60.0) -> QuadratureResult:
-    """Quadrature of ``int_split^inf J_2(u)/u du``.
+    """``int_split^inf J_2(u)/u du`` = J_1(split)/split, by the recurrence
+    (x^-1 J_1)' = -x^-1 J_2 (DLMF 10.6, https://dlmf.nist.gov/10.6).
 
-    The finite part [split, u_match] goes to the double-exponential rule
-    with break points at the multiples of pi (the integrand oscillates
-    with about that half-period); J_2 comes from its power series up to
-    u = 1 and from Bessel's integral on u_match + 64 angles beyond.  The
-    tail is rotated onto the ray u_match + i v where the outgoing Hankel
-    function H^(1)_2 decays exponentially:
-
-        int_U^inf J_2(u)/u du = Re[ i int_0^inf H^(1)_2(U+iv)/(U+iv) dv ],
-
-    with H^(1)_2 from its Laplace-type integral, one for all the nodes of
-    a level.  The value is cached per process.
+    Horner's sum of the series is within 1 ulp of the exact value for
+    0 < split <= 2 and 3 ulp up to 2.5; beyond, its cancellation grows, so
+    ValueError is raised.  ``tol`` and ``u_match`` do not change the value.
     """
-    if split <= 0:
-        raise ValueError("split must be positive")
-    if split >= u_match:
-        raise ValueError("split must be below the tail matching point")
-    return _j2_over_u(split, tol, u_match)
-
-
-@functools.lru_cache(maxsize=16)
-def _j2_over_u(split: float, tol: float, u_match: float) -> QuadratureResult:
-    """Body of :func:`j2_over_u_integral`, cached per process: the value
-    depends on nothing but the three arguments."""
-    n_ang = int(u_match) + 64
-
-    def head_integrand(u: np.ndarray) -> np.ndarray:
-        # Bessel's integral gets J_2 ~ u^2/8 from terms of size 1, so it
-        # loses relative accuracy as u -> 0, where the series does not
-        small = u <= 1.0
-        j2 = np.empty_like(u)
-        j2[small] = 0.125 * u[small] ** 2 + _bessel_j_excess(2.0, u[small])
-        j2[~small] = _bessel_j_integer(2, u[~small], n_ang)
-        return j2 / u
-
-    pts = np.pi * np.arange(np.ceil(split / np.pi), np.ceil(u_match / np.pi))
-    head = integrate_adaptive(head_integrand, split, u_match, tol=tol,
-                              points=[p for p in pts if split < p < u_match])
-
-    def tail_integrand(v: np.ndarray) -> np.ndarray:
-        return 1j * _hankel1_on_ray(2.0, u_match, v) / (u_match + 1j * v)
-
-    tail = integrate_adaptive(tail_integrand, 0.0, np.inf, tol=tol)
-    value = complex(head.value + tail.value.real)
-    err = head.abs_error_estimate + tail.abs_error_estimate
-    return QuadratureResult(value=value, abs_error_estimate=err,
-                            nodes_used=head.nodes_used + tail.nodes_used)
-
-
-def _bessel_j_integer(n: int, x: np.ndarray, n_ang: int) -> np.ndarray:
-    """J_n(x) for integer n from Bessel's integral
-
-        J_n(x) = (1/2 pi) int_0^{2 pi} cos(n tau - x sin tau) d tau
-
-    by the periodic trapezoid rule on ``n_ang`` angles, which is exact to
-    rounding once ``n_ang`` exceeds ``max|x| + n`` by a few dozen (the
-    aliasing error is of the size of J_{n_ang - n}(x)).  The angles of
-    :func:`circle_mean`'s rule are summed one at a time, so the
-    temporaries stay of the size of ``x``: an ``(n_ang, x.size)`` block
-    would take about 1 MB per array at the finer levels of the caller's
-    rule, all of it peak memory of the process."""
-    x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
-    for tau in _circle_angles(n_ang):
-        acc += np.cos(n * tau - math.sin(tau) * x)
-    return acc / n_ang
+    if not 0.0 < split <= 2.5:
+        raise ValueError(f"split must lie in (0, 2.5], got {split}")
+    y = 0.25 * split * split
+    value = 0.0
+    for c in _J1_OVER_X:
+        value = value * y + c
+    return QuadratureResult(value, 0.0, 0)
 
 
 # Terms of the power series of J_m on [0, 1]: the 20th is below 1e-40.

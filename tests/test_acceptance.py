@@ -77,8 +77,8 @@ def test_criterion_3_contour_bulk_equivalence():
         else:
             gauge = gaussian(rng.uniform(0.3, 1.5), rng.uniform(0.5, 2.0), 1.0)
         alpha = rng.uniform(0.2, 1.0)
-        closed = bulk_c2_term(gauge, alpha)
-        contour = bulk_log_term(gauge, alpha)
+        closed = alpha * bulk_c2_term(gauge)
+        contour = alpha * bulk_log_term(gauge)
         worst = max(worst, abs(contour - closed) / max(abs(closed), 1e-12))
     _report(3, "contour bulk route == closed bulk", worst < 1e-6,
             f"worst_rel={worst:.2e}")

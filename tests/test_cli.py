@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bagdet
-from bagdet import cli, determinant, greens, seeley
+from bagdet import cli, determinant, greens, quadrature, seeley
 from bagdet.cli import (DEFAULT_TOLERANCES, SWEEP_BLOCK, RunConfig,
                         build_config, main)
 from bagdet.greens import DiskProblem
@@ -342,6 +342,18 @@ def test_verify_zero_gauge_passes(tmp_path):
     assert abs(payload["determinant"]["total_re"]) < 1e-12
 
 
+def test_verify_report_does_not_depend_on_its_path(tmp_path):
+    args = ["--mode", "verify", "--w", "0.8+0.3j", "--profile", "gaussian",
+            "--params", "1.2,0.4"]
+    outs = [tmp_path / "a" / "verify.json", tmp_path / "b" / "v.json"]
+    for out in outs:
+        out.parent.mkdir()
+        assert main(args + ["--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    config = json.loads(outs[0].read_text())["config"]
+    assert "output_path" not in config and "sweep_spec" not in config
+
+
 def test_verify_runs_each_check_as_one_batched_call(monkeypatch, tmp_path):
     # guards against per-sample loops in verify: one Riesz solve over the
     # 12 q_lambda samples, one d_minus1 call over the 20 d_tilde samples,
@@ -531,6 +543,21 @@ def test_determinant_mode_gates_every_oracle(tmp_path):
     assert main(off_sheet) == 0
     payload = json.loads(out.read_text())
     assert "boundary_oracle_rel" not in payload["oracle_residuals"]
+
+
+def test_determinant_mode_needs_no_hankel_function(monkeypatch, tmp_path):
+    # the Bessel-kernel route takes its constant in closed form; only
+    # verify's K_nu runs the Hankel Laplace integral
+    def hankel1e(*args, **kwargs):
+        raise AssertionError("determinant mode evaluated a Hankel function")
+
+    monkeypatch.setattr(quadrature, "_hankel1e", hankel1e)
+    out = tmp_path / "det.json"
+    assert main(["--mode", "determinant", "--w", "1.3+0.2j", "--profile",
+                 "gaussian", "--params", "1.2,0.4", "--out", str(out)]) == 0
+    bessel_rel = json.loads(out.read_text())["oracle_residuals"][
+        "bulk_bessel_rel"]
+    assert bessel_rel <= DEFAULT_TOLERANCES["bulk_bessel_rel"]
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -303,7 +303,8 @@ def test_singularity_coefficient_makes_one_green_call(green_calls):
 
 def test_pde_residual_matches_scalar_stencil():
     p = standard_problem(w=0.6 + 0.2j, alpha=0.77, phi0=1.1)
-    x, y, h = PlanePoint(0.45, 0.3), PlanePoint(0.6, 2.4), 1e-4
+    # the stencil step is 1e-4 R
+    x, y, h = PlanePoint(0.45, 0.3), PlanePoint(0.6, 2.4), 1e-4 * p.R
     x0, x1 = x.xy
 
     def g_at(a0, a1):
@@ -320,7 +321,7 @@ def test_pde_residual_matches_scalar_stencil():
     ref = float(np.max(np.abs(1j * (G0_MAT @ d0 + G1_MAT @ d1)
                               + p.alpha * (a0c * G0_MAT + a1c * G1_MAT)
                               @ disk_green(p, x, y))))
-    assert abs(pde_residual(p, x, y, h=h) - ref) <= 1e-12
+    assert abs(pde_residual(p, x, y) - ref) <= 1e-12
 
 
 def test_pde_residual_batch_is_max_of_pair_calls(green_calls):

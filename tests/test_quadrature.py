@@ -385,28 +385,84 @@ def test_j2_over_u_full_integral():
     assert abs(res.value - 0.5) < 1e-8
 
 
-def _j1_over_x(x: float) -> float:
-    # J_1(x)/x = (1/2) sum_k (-1)^k (x/2)^{2k} / (k! (k+1)!)
-    return 0.5 * math.fsum((-1) ** k * (0.5 * x) ** (2 * k)
-                           / (math.factorial(k) * math.factorial(k + 1))
-                           for k in range(30))
+def _bessel_j_integral(n: int, x: np.ndarray, n_ang: int) -> np.ndarray:
+    # Bessel's integral J_n(x) = (1/2 pi) int_0^{2 pi} cos(n tau - x sin tau)
+    # d tau on the periodic rule, exact to rounding once n_ang exceeds
+    # max|x| + n by a few dozen
+    return circle_mean(lambda tau: np.cos(n * tau[:, None]
+                                          - np.sin(tau)[:, None] * x), n_ang)
+
+
+def _j2_over_u_by_quadrature(split: float, u_match: float = 60.0) -> float:
+    """int_split^inf J_2(u)/u du with no closed form: the double-exponential
+    rule on [split, u_match], broken at the multiples of pi, with J_2 from
+    its series up to u = 1 and from Bessel's integral beyond, plus the tail
+    rotated onto the ray u_match + i v, where H^(1)_2 decays:
+
+        int_U^inf J_2(u)/u du = Re[ i int_0^inf H^(1)_2(U+iv)/(U+iv) dv ].
+    """
+    def head(u):
+        small = u <= 1.0
+        j2 = np.empty_like(u)
+        j2[small] = 0.125 * u[small] ** 2 \
+            + quadrature._bessel_j_excess(2.0, u[small])
+        j2[~small] = _bessel_j_integral(2, u[~small], int(u_match) + 64)
+        return j2 / u
+
+    pts = np.pi * np.arange(np.ceil(split / np.pi), np.ceil(u_match / np.pi))
+    finite = integrate_adaptive(head, split, u_match, tol=1e-11,
+                                points=[p for p in pts if split < p < u_match])
+    tail = integrate_adaptive(
+        lambda v: 1j * quadrature._hankel1_on_ray(2.0, u_match, v)
+        / (u_match + 1j * v), 0.0, np.inf, tol=1e-11)
+    return finite.value.real + tail.value.real
+
+
+def _j1_over_x_exact(x: float) -> Fraction:
+    # J_1(x)/x = (1/2) sum_k (-x^2/4)^k / (k! (k+1)!) in exact rationals;
+    # 30 terms leave less than 1e-40 for x <= 3
+    y = Fraction(x) ** 2 / 4
+    term, total = Fraction(1, 2), Fraction(0)
+    for k in range(30):
+        total += term
+        term *= -y / ((k + 1) * (k + 2))
+    return total
 
 
 @pytest.mark.parametrize("split", [5e-4, 1e-3, 0.3, 1.0, 2.5])
 def test_j2_over_u_matches_its_closed_form(split):
-    # int_x^inf J_2(u)/u du = J_1(x)/x
+    # int_x^inf J_2(u)/u du = J_1(x)/x, the integral taken by quadrature
     res = j2_over_u_integral(split)
-    assert abs(res.value - _j1_over_x(split)) <= 1e-14
+    assert res.abs_error_estimate == 0.0 and res.nodes_used == 0
+    assert abs(_j2_over_u_by_quadrature(split) - res.value) <= 1e-14
+
+
+def test_j1_over_x_series_is_within_an_ulp_or_three():
+    # Horner's sum against the exact series: 1 ulp up to 2, 3 ulp to 2.5;
+    # the bulk oracle's splits get the correctly rounded value
+    for x in [5e-4, 1e-3, *np.linspace(0.01, 2.5, 250)]:
+        value = j2_over_u_integral(float(x)).value
+        exact = _j1_over_x_exact(float(x))
+        ulps = abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+        assert ulps <= (1 if x <= 2.0 else 3), x
+        if x in (5e-4, 1e-3):
+            assert value == float(exact)
+
+
+@pytest.mark.parametrize("split", [0.0, -1e-3, 2.6, float("nan"),
+                                   float("inf")])
+def test_j2_over_u_outside_its_domain_raises(split):
+    with pytest.raises(ValueError):
+        j2_over_u_integral(split)
 
 
 def test_bessel_j_from_its_integral_and_its_series():
     # J_2 by Bessel's integral against the series, where both hold
     x = np.linspace(0.0, 1.0, 41)
     series = 0.125 * x ** 2 + quadrature._bessel_j_excess(2.0, x)
-    assert np.max(np.abs(quadrature._bessel_j_integer(2, x, 66) - series)) \
-        <= 1e-15
+    assert np.max(np.abs(_bessel_j_integral(2, x, 66) - series)) <= 1e-15
     # J_1(x) = x (J_1(x)/x)
-    exact = x * np.array([_j1_over_x(v) for v in x])
+    exact = x * np.array([float(_j1_over_x_exact(v)) for v in x])
     assert np.max(np.abs(quadrature._bessel_j_excess(1.0, x) + 0.5 * x
                          - exact)) <= 1e-15
 

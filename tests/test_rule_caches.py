@@ -1,6 +1,5 @@
 """Per-process caches of the Gauss-Legendre rules, the double-exponential
-levels, the spectral path, the split Bessel integrals and the Bessel form
-of K_nu.
+levels, the spectral path and the Bessel form of K_nu.
 
 The cached arrays are shared by every caller, so they must be read-only;
 a result must not depend on whether a cache was cold or warm, nor on which
@@ -25,7 +24,6 @@ def _clear_caches():
     quadrature._gauss_legendre_rule.cache_clear()
     quadrature._de_level.cache_clear()
     quadrature._circle_angles.cache_clear()
-    quadrature._j2_over_u.cache_clear()
     seeley._k_nu_bessel.cache_clear()
     determinant._spectral_path.cache_clear()
 
