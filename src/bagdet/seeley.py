@@ -23,7 +23,6 @@ the whole batch.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -313,17 +312,10 @@ def k_nu_bessel(nu: int) -> float:
     outgoing Hankel function decays exponentially, with H^(1) from its
     Laplace-type integral, one for all the nodes of a level.  Both go to
     the double-exponential :func:`~bagdet.quadrature.integrate_adaptive`
-    at relative tolerance 1e-9.  The value depends on ``nu``
-    only and is computed once per process.
+    at relative tolerance 1e-9.
     """
     if nu < 2:
         raise ValueError("nu must be at least 2")
-    return _k_nu_bessel(nu)
-
-
-@functools.lru_cache(maxsize=8)
-def _k_nu_bessel(nu: int) -> float:
-    """Body of :func:`k_nu_bessel`, cached per process."""
     m = nu / 2.0 - 1.0
     norm = 1.0 / (2.0 ** m * math.gamma(nu / 2.0))
     # rho^(-nu/2) (rho/2)^m = 2^-m / rho: the tanh-sinh nodes reach 1e-61,

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bagdet
-from bagdet import cli, determinant, greens, quadrature, seeley
+from bagdet import calderon, cli, determinant, greens, quadrature, seeley
 from bagdet.cli import (DEFAULT_TOLERANCES, SWEEP_BLOCK, RunConfig,
                         build_config, main)
 from bagdet.greens import DiskProblem
@@ -354,11 +354,13 @@ def test_verify_report_does_not_depend_on_its_path(tmp_path):
     assert "output_path" not in config and "sweep_spec" not in config
 
 
-def test_verify_runs_each_check_as_one_batched_call(monkeypatch, tmp_path):
+def test_verify_runs_each_check_as_one_batched_call(monkeypatch, tmp_path,
+                                                    cold_caches):
     # guards against per-sample loops in verify: one Riesz solve over the
     # 12 q_lambda samples, one d_minus1 call over the 20 d_tilde samples,
     # the stencil and G_B of the pde pairs in two disk_green calls, and
-    # the fixed samples drawn once per process
+    # the fixed samples drawn, and the checks that see only them run,
+    # once per process
     solves, d_calls, green_calls, seeds = [], [], [], []
     in_pde = []
     inner = {"solve": np.linalg.solve, "d_minus1": seeley.d_minus1,
@@ -396,7 +398,6 @@ def test_verify_runs_each_check_as_one_batched_call(monkeypatch, tmp_path):
     monkeypatch.setattr(greens, "disk_green", disk_green)
     monkeypatch.setattr(greens, "pde_residual", pde_residual)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    cli._verify_samples.cache_clear()
     argv = ["--mode", "verify", "--w", "0.8+0.3j", "--profile", "poly2",
             "--params", "0.5", "--out", str(tmp_path / "verify.json")]
     assert main(argv) == 0
@@ -404,11 +405,90 @@ def test_verify_runs_each_check_as_one_batched_call(monkeypatch, tmp_path):
     assert d_calls == [(128, 20)]
     assert sorted(green_calls) == [(5,), (8, 5)]
     assert seeds.count(2024) == 1
-    seeds.clear()
+    # the q_lambda solve sees only the fixed samples: once per process
+    for calls in (solves, d_calls, green_calls, seeds):
+        calls.clear()
     assert main(argv) == 0
+    assert solves == []
+    assert d_calls == [(128, 20)]
+    assert sorted(green_calls) == [(5,), (8, 5)]
     assert 2024 not in seeds
     for arrays in cli._verify_samples().values():
         assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empties verify's and ellipticity's per-process caches before and
+    after the test, so that a patched run leaves no value behind."""
+    caches = (cli._verify_samples, cli._fixed_sample_values,
+              cli._chiral_obstruction)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--w", "0.8+0.3j", "--profile", "poly2", "--params", "0.5"],
+    ["--w", "-1.3+0.2j", "--profile", "gaussian", "--params", "1.2,0.4",
+     "--radius", "1.3", "--alpha", "0.6"],
+])
+def test_cold_and_warm_runs_write_the_same_bytes(tmp_path, cold_caches,
+                                                 flags):
+    out = tmp_path / "out.json"
+    texts = []
+    for _ in range(2):                       # cold, then warm
+        for mode in ("verify", "ellipticity"):
+            assert main(flags + ["--mode", mode, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+    assert texts[:2] == texts[2:]
+    # a cached value is made of tuples and floats, which no caller can
+    # change in place
+    hash(cli._fixed_sample_values())
+    hash(cli._chiral_obstruction())
+
+
+def test_verify_sees_a_broken_fixed_sample_oracle(monkeypatch, tmp_path,
+                                                  cold_caches):
+    contour = calderon.q_lambda_contour
+    monkeypatch.setattr(calderon, "q_lambda_contour",
+                        lambda *args: contour(*args) * (1.0 + 1e-6))
+    out = tmp_path / "verify.json"
+    assert main(["--mode", "verify", "--out", str(out)]) == 2
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"]
+              if not c["pass"]]
+    assert failed == ["q_lambda_match"]
+
+
+def test_k_nu_bessel_is_computed_once_per_verify_process(monkeypatch,
+                                                          tmp_path,
+                                                          cold_caches):
+    calls = []
+    bessel = seeley.k_nu_bessel
+
+    def counted(nu):
+        calls.append(nu)
+        return bessel(nu)
+
+    monkeypatch.setattr(seeley, "k_nu_bessel", counted)
+    argv = ["--mode", "verify", "--out", str(tmp_path / "verify.json")]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert calls == [2, 3, 4]
+    cli._fixed_sample_values.cache_clear()
+    assert main(argv) == 0
+    assert calls == [2, 3, 4] * 2
+
+
+@pytest.mark.parametrize("w", ["20", "100", "0.02", "20+5j"])
+def test_verify_residue_far_from_w_1(tmp_path, w):
+    out = tmp_path / "verify.json"
+    assert main(["--mode", "verify", "--profile", "poly2", "--params", "1.0",
+                 "--alpha", "0.9", "--w", w, "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["residue"]["value"] <= 1e-12
 
 
 def test_verify_tolerance_failure_exit_code(tmp_path):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bagdet import determinant
 from bagdet.clifford import polar_gammas
@@ -14,9 +16,10 @@ from bagdet.determinant import (ContourSpec, a_squared_integral,
                                 residue_check)
 from bagdet.errors import BranchError, ContourError, DomainError
 from bagdet.greens import DiskProblem, diagonal_singularity_coefficient
-from bagdet.profiles import gaussian, poly2, polynomial
+from bagdet.profiles import gaussian, make_profile, poly2, polynomial
 from bagdet.quadrature import integrate_adaptive, integrate_gauss_legendre
 from bagdet.seeley import d_tilde_minus1
+from conftest import PROPERTY
 
 
 def standard_problem(w=1.0, alpha=1.0, phi0=1.0, R=1.0):
@@ -234,26 +237,30 @@ def test_residue_check_vanishes():
     assert out["passed"]
 
 
-def test_residue_check_contraction_to_1e_6_relative():
-    # the xi = +1 and -1 pieces, -5.0e-9 and 3.9e-9, leave 1.75e-10 after
-    # the 1/2 pi; the reference takes 32-point Gauss-Legendre panels on
-    # t = x/(1 - x), crowded towards x = 1
+def test_residue_check_contraction_matches_extrapolated_panels():
+    # the reference takes 32-point Gauss-Legendre panels on t = x/(1 - x),
+    # crowded towards x = 1, at lambda = h, h/2 and h/4 with h = 1e-8 i and
+    # extrapolates as residue_check does; the bias the extrapolation
+    # removes is 1.75e-9 at lambda = h alone
     p = standard_problem(w=0.8, alpha=0.9)
     a_slash = p.gauge.a_theta(p.R) * polar_gammas(0.0)[1]
     edges = np.concatenate([np.linspace(0.0, 0.5, 8),
                             1.0 - np.geomspace(0.5, 1e-14, 60)[1:]])
 
-    def mapped(x, xi):
-        t = x / (1.0 - x)
-        d = d_tilde_minus1(0.0, t, t, xi, 1e-9j, p.w)
-        return np.trace(a_slash @ d, axis1=-2, axis2=-1) / (1.0 - x) ** 2
+    def mapped(x, lam):
+        t = (x / (1.0 - x))[:, None]
+        d = d_tilde_minus1(0.0, t, t, np.array([1.0, -1.0]), lam, p.w)
+        return (np.trace(a_slash @ d, axis1=-2, axis2=-1).sum(axis=1)
+                / (1.0 - x) ** 2)
 
-    ref = abs(sum(integrate_gauss_legendre(lambda x: mapped(x, xi), a, b, 32)
-                  for xi in (1.0, -1.0)
-                  for a, b in zip(edges[:-1], edges[1:]))) / (2.0 * np.pi)
-    assert ref == pytest.approx(1.75e-10, rel=1e-6)
+    c = [sum(integrate_gauss_legendre(lambda x: mapped(x, lam), a, b, 32)
+             for a, b in zip(edges[:-1], edges[1:]))
+         for lam in (1e-8j, 5e-9j, 2.5e-9j)]
+    assert abs(c[0]) / (2.0 * np.pi) == pytest.approx(1.75e-9, rel=1e-3)
+    ref = abs(c[0] - 6.0 * c[1] + 8.0 * c[2]) / (6.0 * np.pi)
     got = residue_check(p)["boundary_contraction_abs"]
-    assert abs(got - ref) <= 1e-6 * ref
+    assert ref <= 1e-15 and got <= 1e-15
+    assert abs(got - ref) <= 1e-15
 
 
 def test_residue_check_zero_gauge():
@@ -263,27 +270,64 @@ def test_residue_check_zero_gauge():
     assert out["boundary_contraction_abs"] < 1e-30
 
 
-def test_residue_check_integrates_the_trace_once_per_xi(monkeypatch):
-    results = []
-    d_calls = []
+def test_residue_check_runs_each_piece_as_one_batched_call(monkeypatch):
+    # the interior is one c_{-2} call on the 256 angles x 3 radii; the
+    # boundary one integrate_adaptive call over both xi at three lambda,
+    # with one d_tilde_{-1} call per level on that level's new nodes
+    results, d_nodes, c2_shapes = [], [], []
     adaptive = determinant.integrate_adaptive
     d_tilde = determinant.d_tilde_minus1
+    c2 = determinant.c_minus2
 
     def counting_adaptive(*args, **kwargs):
         results.append(adaptive(*args, **kwargs))
         return results[-1]
 
-    def counting_d_tilde(*args):
-        d_calls.append(args)
-        return d_tilde(*args)
+    def counting_d_tilde(theta, t, u, xi, lam, w):
+        d_nodes.append(np.size(t))
+        assert np.broadcast_shapes(np.shape(t), np.shape(lam)) == (t.size, 6)
+        return d_tilde(theta, t, u, xi, lam, w)
+
+    def counting_c2(a_theta, xi, tau, *args, **kwargs):
+        c2_shapes.append(np.broadcast_shapes(np.shape(a_theta), np.shape(xi)))
+        return c2(a_theta, xi, tau, *args, **kwargs)
 
     monkeypatch.setattr(determinant, "integrate_adaptive", counting_adaptive)
     monkeypatch.setattr(determinant, "d_tilde_minus1", counting_d_tilde)
+    monkeypatch.setattr(determinant, "c_minus2", counting_c2)
     out = residue_check(standard_problem(w=0.8, alpha=0.9))
-    assert len(results) == 2
-    assert 0 < len(d_calls) <= sum(r.nodes_used for r in results)
+    assert c2_shapes == [(256, 3)]
+    assert len(results) == 1
+    assert 1 < len(d_nodes) <= 9 and sum(d_nodes) == results[0].nodes_used
     assert set(out) == {"interior_angular_norms", "interior_max_norm",
                         "boundary_contraction_abs", "passed"}
+    assert len(out["interior_angular_norms"]) == 3
+    assert out["passed"]
+
+
+@PROPERTY
+@given(profile=st.sampled_from(["poly2", "gaussian", "polynomial"]),
+       log_r=st.floats(-2.0, 2.0), log_w=st.floats(-2.0, 2.0),
+       arg_w=st.floats(-np.pi, np.pi), log_phi0=st.floats(-3.0, 1.0),
+       sign=st.sampled_from([1.0, -1.0]), log_width=st.floats(-3.0, 0.0),
+       alpha=st.floats(0.0, 1.0))
+def test_residue_check_sits_at_rounding_over_a_wide_box(
+        profile, log_r, log_w, arg_w, log_phi0, sign, log_width, alpha):
+    # R and |w| in 1e-2 ... 1e2, |phi0| in 1e-3 ... 10.  Each piece is
+    # bounded by rounding on its own scale: the interior by alpha max|A|
+    # at its radii, the boundary by |A(R)| max(1, |w|^-2), the size of
+    # the cancellation in the xi = -1 denominator w lambda - i + i s
+    R, phi0 = 10.0 ** log_r, sign * 10.0 ** log_phi0
+    w = 10.0 ** log_w * complex(np.cos(arg_w), np.sin(arg_w))
+    params = {"poly2": [phi0], "gaussian": [phi0, 10.0 ** log_width * R],
+              "polynomial": [phi0, 0.0, -phi0 / R ** 2, 0.3 * phi0 / R ** 3]}
+    gauge = make_profile(profile, params[profile], R)
+    out = residue_check(DiskProblem(R=R, w=w, alpha=alpha, gauge=gauge))
+    a_in = np.max(np.abs(gauge.a_theta(np.array([0.3, 0.6, 0.9]) * R)))
+    a_edge = abs(gauge.a_theta(R))
+    assert out["interior_max_norm"] <= 1e-13 * alpha * a_in
+    assert (out["boundary_contraction_abs"]
+            <= 1e-14 * a_edge * max(1.0, abs(w) ** -2))
     assert out["passed"]
 
 

@@ -1,5 +1,6 @@
 """Per-process caches of the Gauss-Legendre rules, the double-exponential
-levels, the spectral path and the Bessel form of K_nu.
+levels, the spectral path, and verify's and ellipticity's checks on fixed
+samples.
 
 The cached arrays are shared by every caller, so they must be read-only;
 a result must not depend on whether a cache was cold or warm, nor on which
@@ -12,7 +13,7 @@ import inspect
 import numpy as np
 import pytest
 
-from bagdet import determinant, quadrature, seeley
+from bagdet import cli, determinant, quadrature, seeley
 from bagdet.determinant import (ContourSpec, boundary_contour_oracle,
                                 boundary_term, gamma_log_contour,
                                 ln_det_ratio, log_branch)
@@ -24,8 +25,10 @@ def _clear_caches():
     quadrature._gauss_legendre_rule.cache_clear()
     quadrature._de_level.cache_clear()
     quadrature._circle_angles.cache_clear()
-    seeley._k_nu_bessel.cache_clear()
     determinant._spectral_path.cache_clear()
+    cli._verify_samples.cache_clear()
+    cli._fixed_sample_values.cache_clear()
+    cli._chiral_obstruction.cache_clear()
 
 
 def test_cached_arrays_are_read_only():

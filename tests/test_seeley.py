@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bagdet import quadrature, seeley
+from bagdet import seeley
 from bagdet.clifford import gamma_t, make_rep_2d, polar_gammas
 from bagdet.errors import BagdetError, BranchError, SingularSymbolError
 from bagdet.quadrature import circle_mean
@@ -431,25 +431,6 @@ def test_k_nu_bessel_head_stays_finite_at_high_nu():
     # overflows from nu = 11 on
     for nu in range(8, 16):
         assert abs(k_nu_bessel(nu) - k_nu(nu)) <= 1e-7, nu
-
-
-def test_k_nu_bessel_is_computed_once(monkeypatch):
-    calls = []
-    original = quadrature.integrate_adaptive
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    seeley._k_nu_bessel.cache_clear()
-    first = k_nu_bessel(3)
-    monkeypatch.setattr(seeley, "integrate_adaptive", counted)
-    monkeypatch.setattr(quadrature, "integrate_adaptive", counted)
-    assert k_nu_bessel(3) == first
-    assert not calls
-    seeley._k_nu_bessel.cache_clear()
-    assert k_nu_bessel(3) == first
-    assert calls
 
 
 def test_gauge_field_validation():
