@@ -15,7 +15,8 @@ One executable, four modes:
 CSV output is byte for byte what ``csv.writer`` with its default dialect
 writes: a header line of names, then each cell the ``repr`` of its float,
 ``,`` between cells and ``\r\n`` after every line.  No name or float
-``repr`` holds a comma, quote or line break, so nothing is quoted.
+``repr`` holds a comma, quote or line break, so nothing is quoted.  The
+writer computes ``repr``'s digits itself wherever it can certify them.
 
 Configuration comes from an optional key = value file, whose keys are
 the option names (``radius``, ``tol.pde_residual``, ...), plus flag
@@ -68,6 +69,8 @@ ORACLE_GATES = {
 }
 
 MODES = ("determinant", "verify", "ellipticity", "sweep")
+# The one --format each mode writes, for the modes that cannot write both.
+_MODE_FORMATS = {"verify": "json", "ellipticity": "json", "sweep": "csv"}
 
 
 @dataclass
@@ -216,6 +219,9 @@ def build_config(argv) -> RunConfig:
         cfg.w_re, cfg.w_im = args.w.real, args.w.imag
     cfg.tolerances = {name: opts[f"tol.{name}"] for name in DEFAULT_TOLERANCES
                       if opts[f"tol.{name}"] is not None}
+    writes = _MODE_FORMATS.get(cfg.mode, args.format)
+    if args.format is not None and args.format != writes:
+        parser.error(f"--mode {cfg.mode} writes {writes}, not {args.format}")
     return cfg
 
 
@@ -261,31 +267,116 @@ def _run_determinant(cfg: RunConfig) -> int:
 # Rows per string of a sweep's CSV text (see _csv_rows).
 SWEEP_BLOCK = 128
 
+# The doubles nearest 10**-4 ... 10**20: exact from 10**0 on, and above
+# 10**k before, so |x| >= 10**k exactly when |x| >= _DECADES[k + 4].
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 21)])
+_U = np.uint64
 
-def _column_plans(columns) -> list:
-    """How _csv_rows formats each column: a str, the text of every cell;
-    an int, the index of an earlier column with the same bits, whose
-    strings it reuses; a pair (texts, column), each cell the text of its
-    bit pattern; or the column itself, one ``repr`` per cell."""
-    plans, seen = [], {}
-    for i, col in enumerate(columns):
-        if col.ndim == 0:
-            plans.append(repr(col.item()))
-            continue
-        same = seen.setdefault(col.tobytes(), i)
-        head = col[:32].view(np.int64).tolist()
-        if same != i:
-            plans.append(same)
-        elif 2 * len(set(head)) > len(head):
-            plans.append(col)
+
+def _digit_words(digits):
+    """The 17-digit uint64 ``digits`` as rows of three words of ASCII, in
+    little-endian byte order: digit 0 at byte 7, digits 1-8, digits 9-16;
+    trailing zeros stay NUL.  x // 100 is x * 5243 >> 19 inside a word."""
+    lead = digits // _U(10 ** 16)
+    v = digits - lead * _U(10 ** 16)
+    q = v // _U(10 ** 8)
+    v = np.stack([q, v - q * _U(10 ** 8)], axis=1)
+    q = v // _U(10000)
+    x = q | ((v - q * _U(10000)) << _U(32))
+    q = ((x * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)
+    x = q | ((x - q * _U(100)) << _U(16))
+    q = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)   # x // 10
+    x = q | ((x - q * _U(10)) << _U(8))
+    # digits up to the last nonzero one (m's bytes < 0x10, + 0x7f tops them)
+    m = x | (x >> _U(8))
+    m |= m >> _U(16)
+    m |= m >> _U(32)
+    m[:, 0] |= (x[:, 1] != 0) * _U(0x0101010101010101)
+    m = ((m + _U(0x7F7F7F7F7F7F7F7F)) & _U(0x8080808080808080)) >> _U(7)
+    return np.column_stack([(lead + _U(48)) << _U(56), x | m * _U(0x30)])
+
+
+@functools.cache
+def _cell_layout() -> tuple:
+    """Read-only words (keep, text) per exponent e = -4 ... 14 (row e + 4):
+    the bits of a 48-byte cell that take digits, and its fixed text.  Byte
+    0 is the sign, bytes 1-5 "0." and e < 0's leading zeros; digit i of
+    17 sits at byte 7 + i if i <= e, else at 31 + i; "." is at byte 24.
+    Integer digits and the first decimal are written even if zero."""
+    keep, text = np.zeros((2, 19, 48), dtype=np.uint8)
+    i = np.arange(17)
+    for e in range(-4, 15):
+        keep[e + 4, np.where(i <= e, 7 + i, 31 + i)] = 0xFF
+        if e < 0:
+            text[e + 4, 1:2 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
         else:
-            # mostly repeated at its head: format each bit pattern once
-            distinct = list(set(col.view(np.int64).tolist()))
-            values = np.array(distinct, dtype=np.int64).view(float)
-            texts = dict(zip(distinct, map(repr, values.tolist())))
-            plans.append((texts, col) if len(distinct) > 1
-                         else texts[head[0]])
-    return plans
+            text[e + 4, [*range(7, 8 + e), 32 + e]] = ord("0")
+            text[e + 4, 24] = ord(".")
+    return tuple(np.frombuffer(t.tobytes(), "<u8").reshape(19, 6)
+                 for t in (keep, text))
+
+
+def _repr_cells(values, width: int = 24):
+    """Rows of ``width`` bytes: ``repr`` of each float, NULs before it."""
+    text = "".join(t.rjust(width, "\0") for t in map(repr, values.tolist()))
+    return np.frombuffer(text.encode(), np.uint8).reshape(-1, width)
+
+
+def _shortest_digits(v, b, m):
+    """(digits, certain) for floats v in [10**e, 10**(e+1)), -4 <= e < 15,
+    not powers of two, b = 10**(16-e), m = frexp(v)[0]: where ``certain``,
+    ``repr(v)`` has the digits of the 17-digit uint64 ``digits``.
+
+    ``repr`` is the shortest decimal within h = ulp/2 of v, the nearest
+    if there are several.  y = v b = yh + yl and H = h b exactly, and
+    0.555 < H < 11.2: a multiple of 100 within H of y is the only one and
+    gives the digits (15 or fewer; it is not 10**17, as the doubles below
+    10**(e+1) lie over h from it), else the nearest multiple of 10 if
+    within H (16), else round(y) (17).  Each distance is an integer plus
+    yl, rounded once, monotone: a strict comparison with H or half a step
+    is certain, an equality (tie, boundary, rounding onto one) is not."""
+    # y = yh + yl: Dekker's two-product on Veltkamp's split, no FMA
+    yh, c, d = v * b, 134217729.0 * v, 134217729.0 * b
+    vh, bh = c - (c - v), d - (d - b)
+    vl, bl = v - vh, b - bh
+    yl = ((vh * bh - yh) + vh * bl + vl * bh) + vl * bl
+    h = v / m * b * 2.0 ** -54                # v / m is a power of two
+    n = yh.astype(_U)                         # yh is an integer
+
+    def nearest(k):      # the multiple of k nearest y, from yh; |y - it|
+        r = (n - n // _U(k) * _U(k)).astype(float)    # np.fmod is slower
+        off = np.floor((r + yl) / k + 0.5) * k - r
+        return off, np.abs(yl - off)
+    (off1, near1), (off10, near10), (off100, near100) = map(
+        nearest, (1, 10, 100))
+    in100, in10 = near100 < h, near10 < h
+    off = np.where(in100, off100, np.where(in10, off10, off1))
+    certain = (near100 != h) & (in100 | (
+        (near10 < 5) & (near10 != h) & (in10 | (near1 < 0.5))))
+    return n + off.astype(np.int64).view(_U), certain
+
+
+def _float_cells(x):
+    """``repr`` of each float of the 1-d ``x`` as a row of 48 bytes (see
+    _cell_layout), calling ``repr`` only where _shortest_digits cannot
+    certify the digits or serve x: 0, non-finite, |x| < 1e-4 or >= 1e15
+    (subnormals among them) or a power of two."""
+    a = np.abs(x)
+    m = np.frexp(a)[0]
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1e15) & (m != 0.5))
+    e = np.searchsorted(_DECADES, a[fast], side="right") - 5
+    digits, certain = _shortest_digits(a[fast], _DECADES[20 - e], m[fast])
+    words = np.tile(_digit_words(digits), 2)
+    keep, text = _cell_layout()
+    words &= keep[e + 4]
+    words |= text[e + 4]
+    words[:, 0] |= (x[fast] < 0) * _U(ord("-"))
+    cells = np.zeros((len(x), 48), dtype=np.uint8)
+    cells.view("<u8")[fast] = words
+    slow = np.ones(len(x), dtype=bool)
+    slow[fast[certain]] = False
+    cells[slow] = _repr_cells(x[slow], 48)
+    return cells
 
 
 def _csv_rows(columns) -> list:
@@ -295,36 +386,45 @@ def _csv_rows(columns) -> list:
     Each column is a float or a 1-d float array; the arrays share one
     length, the number of rows (one row if every column is a float).
     Columns are told apart by their bit patterns, never by ``==``, so
-    that 0.0 and -0.0, and each NaN, keep their own text.  A float or a
-    constant column is formatted once, a column with the same bits as an
-    earlier one reuses that column's strings, and a column that repeats
-    a few values (a radius sweep's flux, rounded three to five ways) is
-    formatted once per value; any other column goes through one
-    ``map(repr, ...)`` per block.  The lines are joined from the columns'
-    strings, and the blocks keep those strings small.  A 960-row sweep
-    table of the benchmark's pool takes 1.8 ms over ``w``, 1.0 ms over
-    ``radius`` and 3.2 ms over ``phi0``, against 2.9, 3.5 and 3.7 ms with
-    one ``repr`` per cell (best of 7 x 20 calls, one 2-vCPU VM).
-    """
+    that 0.0 and -0.0, and each NaN, keep their own text.  A column's
+    cells become rows of bytes at once, shared with an earlier column of
+    the same bits, from _float_cells if its first 32 cells hold over 16
+    bit patterns, else (a float, a short or few-valued column) from one
+    ``repr`` per bit pattern; each block joins them, NULs dropped.  A
+    960-row table of the benchmark's seed-601 sweep pool takes 1.4, 1.0
+    and 2.3 ms over ``w``, ``radius`` and ``phi0`` (1.9, 1.1 and 3.3 ms
+    with a ``repr`` per varying cell; median, best of 5 x 10 calls)."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = max((len(c) for c in columns if c.ndim), default=1)
-    plans = _column_plans(columns)
+    cells, seen = [], {}
+    for i, col in enumerate(columns):
+        same = seen.setdefault(col.tobytes(), i) if col.ndim else i
+        if same != i:
+            cells.append(cells[same])
+            continue
+        keys = col.reshape(-1).view(np.int64)
+        if 2 * len(set(keys[:32].tolist())) > 32:
+            rows = _float_cells(col)
+        else:
+            distinct = np.array(sorted(set(keys.tolist())), dtype=np.int64)
+            rows = _repr_cells(distinct.view(float))
+            if len(distinct) > 1:
+                rows = rows[np.searchsorted(distinct, keys)]
+        used = np.bitwise_or.reduce(rows.view("<u8"), axis=0)
+        cells.append(rows[:, used.view(np.uint8) != 0])
+    # cell j ends where its separator sits: a comma, or the line break
+    ends = np.cumsum([c.shape[1] for c in cells]) + np.arange(len(cells))
+    block = np.zeros((min(n, SWEEP_BLOCK), ends[-1] + 2), dtype=np.uint8)
+    block[:, ends[:-1]] = ord(",")
+    block[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
     blocks = []
     for start in range(0, n, SWEEP_BLOCK):
-        stop = min(start + SWEEP_BLOCK, n)
-        cells = []
-        for plan in plans:
-            if isinstance(plan, str):
-                cells.append([plan] * (stop - start))
-            elif isinstance(plan, int):
-                cells.append(cells[plan])
-            elif isinstance(plan, tuple):
-                texts, col = plan
-                keys = col[start:stop].view(np.int64).tolist()
-                cells.append(list(map(texts.__getitem__, keys)))
-            else:
-                cells.append(list(map(repr, plan[start:stop].tolist())))
-        blocks.append("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        lines = block[:min(n - start, SWEEP_BLOCK)]
+        for c, end in zip(cells, ends):
+            lines[:, end - c.shape[1]:end] = (
+                c if len(c) == 1 else c[start:start + len(lines)])
+        text = lines.ravel()
+        blocks.append(text[text != 0].tobytes().decode("ascii"))
     return blocks
 
 

@@ -178,7 +178,7 @@ def c_minus2(a_theta, xi, tau, lam, alpha, theta=0.0) -> np.ndarray:
 
 
 def _d_denominator(xi, lam, w, s):
-    den = w * lam + 1j * xi + 1j * s
+    den = w * lam + 1j * (xi + s)
     _check_regular(den, np.maximum(np.maximum(abs(lam), abs(xi)), abs(s)),
                    "w lambda + i xi + i sqrt(xi^2 - lambda^2) (boundary "
                    "condition not solvable along this direction)")

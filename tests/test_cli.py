@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,10 +210,11 @@ def _csv_writer_text(rows) -> str:
 def _assert_same_text(got: str, expected: str) -> None:
     # pytest's diff of two long strings takes minutes; name the first
     # differing character instead
-    same = got == expected
-    at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
-              min(len(got), len(expected)))
-    assert same, (at, got[at - 20:at + 20], expected[at - 20:at + 20])
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected))
+                   if a != b), min(len(got), len(expected)))
+        assert got == expected, (at, got[at - 20:at + 20],
+                                 expected[at - 20:at + 20])
 
 
 def _assert_csv_rows(columns, n):
@@ -254,6 +256,74 @@ def test_csv_rows_match_csv_writer():
             np.where(np.arange(n) % 3, 0.0, -0.0)], n)
 
 
+def _near(values, steps):
+    """``values`` and their neighbours up to ``steps`` ulps either way."""
+    out = [values]
+    up, down = values, values
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_csv_rows_match_csv_writer_on_many_values():
+    # 200,000+ values around every rule of the fast path: random bit
+    # patterns (NaNs, infinities, subnormals among them), signed
+    # log-uniform magnitudes across its edges 1e-4 and 1e15, neighbours of
+    # the powers of ten and of those edges, and dyadic values whose
+    # scaled digits end exactly in 5 or in 1/2 (ties)
+    rng = np.random.default_rng(33)
+    bits = rng.integers(-2 ** 63, 2 ** 63, 60_000, dtype=np.int64)
+    magnitudes = np.exp(rng.uniform(np.log(1e-6), np.log(1e17), 60_000))
+    powers = np.array([10.0 ** k for k in range(-5, 17)] + [1e-4, 1e15])
+    ties = np.concatenate([
+        (2 * rng.integers(lo, hi, 8_000) + 1) / 2.0 ** p
+        for lo, hi, p in [(2 ** 47, 2 ** 52, 3), (2 ** 47, 2 ** 52, 2),
+                          (2 ** 40, 2 ** 50, 10), (2 ** 40, 2 ** 52, 30),
+                          (2 ** 39, 2 ** 52, 52), (2 ** 40, 2 ** 49, 62)]])
+    short = (rng.integers(1, 10 ** 6, 20_000)
+             * 10.0 ** rng.integers(-9, 10, 20_000)).round(12)
+    values = np.concatenate([
+        bits.view(float), magnitudes * rng.choice([-1.0, 1.0], 60_000),
+        _near(powers, 200), -_near(powers, 20), ties, -ties[::7],
+        short, _near(short[:2_000], 2)])
+    assert values.size >= 200_000
+    rng.shuffle(values)
+    columns = list(values[:values.size // 8 * 8].reshape(8, -1))
+    n = len(columns[0])
+    # 0-d columns between the arrays, one of them of a repeated value
+    columns[2:2] = [values[-1], 0.5]
+    columns.append(np.resize(values[-7:], n))
+    _assert_csv_rows(columns, n)
+
+
+@PROPERTY
+@given(values=st.lists(st.floats(), min_size=1, max_size=80))
+def test_csv_rows_match_csv_writer_on_any_floats(values):
+    v = np.array(values)
+    _assert_csv_rows([v, np.nextafter(v, -np.inf), v[-1]], len(v))
+
+
+def test_csv_rows_memory_peak():
+    # the benchmark gates a sweep's peak RSS, so the writer's working
+    # set stays small: 960 x 7 cells of text take ~140 kB as strings
+    grid = np.geomspace(0.2, 2.0, 960)
+    r = determinant.ln_det_ratio(
+        DiskProblem(R=1.3, w=0.8 + 0.3j, alpha=1.0,
+                    gauge=make_profile("poly2", [grid], 1.3)),
+        run_oracles=False)
+    columns = [grid, *r.values()]
+    assert sum(np.ndim(c) for c in columns) == 7
+    cli._csv_rows(columns)                     # layout tables built
+    tracemalloc.start()
+    try:
+        cli._csv_rows(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 500_000
+
+
 @pytest.mark.parametrize("name, grid, most", [
     # bulk and flux are 0-d, boundary_im holds 0.0 and -0.0 (the sign of
     # ln w^2 changes at |w| = 1) and total_im is 0.0: five texts
@@ -266,13 +336,16 @@ def test_csv_rows_match_csv_writer():
 ])
 def test_sweep_formats_each_repeated_value_once(monkeypatch, tmp_path, name,
                                                 grid, most):
-    # guards against a return to one repr per cell (7 * 960 here)
+    # guards against a return to one repr per cell (7 * 960 here): the
+    # repeated values take one repr each, and the fast path formats at
+    # least 90% of the cells
     formatted = []
     monkeypatch.setattr(cli, "repr", lambda x: formatted.append(x)
                         or builtins.repr(x), raising=False)
     assert main(["--mode", "sweep", "--sweep", _grid(name, grid),
                  "--w", "0.8+0.3j", "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert 960 <= len(formatted) <= most
+    assert len(formatted) <= most
+    assert len(formatted) <= 0.1 * 7 * 960
 
 
 @pytest.mark.parametrize("n", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK,
@@ -704,6 +777,35 @@ def test_usage_error_exit_code():
     assert main(["--rad", "2"]) == 1               # flags are not abbreviated
     assert main(["--w"]) == 1                      # missing value
     assert main(["--mode", "sweep"]) == 1          # missing sweep spec
+
+
+@pytest.mark.parametrize("mode, fmt", [("sweep", "json"), ("verify", "csv"),
+                                       ("ellipticity", "csv")])
+def test_format_the_mode_cannot_write_is_a_usage_error(tmp_path, capsys,
+                                                       mode, fmt):
+    out = tmp_path / "out.txt"
+    cfg_file = tmp_path / "run.cfg"
+    args = ["--mode", mode, "--sweep", "w=0.5,1", "--out", str(out)]
+    cfg_file.write_text(f"format = {fmt}\n")
+    for spelling in (["--format", fmt], ["--config", str(cfg_file)]):
+        assert main(args + spelling) == 1
+        assert f"--mode {mode} writes" in capsys.readouterr().err
+        assert not out.exists()
+    # the mode may come from the file too
+    cfg_file.write_text(f"mode = {mode}\nsweep = w=0.5,1\n")
+    assert main(["--config", str(cfg_file), "--format", fmt]) == 1
+
+
+@pytest.mark.parametrize("mode, fmt", [("determinant", "json"),
+                                       ("determinant", "csv"),
+                                       ("sweep", "csv"), ("verify", "json"),
+                                       ("ellipticity", "json")])
+def test_format_the_mode_writes_is_accepted(tmp_path, mode, fmt):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"format = {fmt}\n")
+    args = ["--mode", mode, "--sweep", "w=0.5,1"]
+    for spelling in (["--format", fmt], ["--config", str(cfg_file)]):
+        assert build_config(args + spelling).format == fmt
 
 
 def test_config_file_and_flag_override(tmp_path):

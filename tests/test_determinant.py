@@ -305,18 +305,29 @@ def test_residue_check_runs_each_piece_as_one_batched_call(monkeypatch):
     assert out["passed"]
 
 
+# log10 of (R, |w|, |phi0|): the wide box, and its corner where
+# R, |w| <= 0.02 and |phi0| >= 5 make |A(R)| / |w|^2 largest
+_RESIDUE_BOX = (st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                          st.floats(-3.0, 1.0))
+                | st.tuples(st.floats(-2.0, np.log10(0.02)),
+                            st.floats(-2.0, np.log10(0.02)),
+                            st.floats(np.log10(5.0), 1.0)))
+
+
 @PROPERTY
 @given(profile=st.sampled_from(["poly2", "gaussian", "polynomial"]),
-       log_r=st.floats(-2.0, 2.0), log_w=st.floats(-2.0, 2.0),
-       arg_w=st.floats(-np.pi, np.pi), log_phi0=st.floats(-3.0, 1.0),
+       logs=_RESIDUE_BOX, arg_w=st.floats(-np.pi, np.pi),
        sign=st.sampled_from([1.0, -1.0]), log_width=st.floats(-3.0, 0.0),
        alpha=st.floats(0.0, 1.0))
 def test_residue_check_sits_at_rounding_over_a_wide_box(
-        profile, log_r, log_w, arg_w, log_phi0, sign, log_width, alpha):
+        profile, logs, arg_w, sign, log_width, alpha):
     # R and |w| in 1e-2 ... 1e2, |phi0| in 1e-3 ... 10.  Each piece is
     # bounded by rounding on its own scale: the interior by alpha max|A|
     # at its radii, the boundary by |A(R)| max(1, |w|^-2), the size of
-    # the cancellation in the xi = -1 denominator w lambda - i + i s
+    # w lambda in the xi = -1 denominator w lambda + i (xi + s).  Formed
+    # as w lambda - i + i s, that denominator kept w lambda only to an
+    # absolute 1e-16, and the boundary piece reached 1e-9 at the corner
+    log_r, log_w, log_phi0 = logs
     R, phi0 = 10.0 ** log_r, sign * 10.0 ** log_phi0
     w = 10.0 ** log_w * complex(np.cos(arg_w), np.sin(arg_w))
     params = {"poly2": [phi0], "gaussian": [phi0, 10.0 ** log_width * R],
@@ -328,6 +339,7 @@ def test_residue_check_sits_at_rounding_over_a_wide_box(
     assert out["interior_max_norm"] <= 1e-13 * alpha * a_in
     assert (out["boundary_contraction_abs"]
             <= 1e-14 * a_edge * max(1.0, abs(w) ** -2))
+    assert out["boundary_contraction_abs"] <= 1e-12
     assert out["passed"]
 
 

@@ -1,6 +1,6 @@
 """Per-process caches of the Gauss-Legendre rules, the double-exponential
-levels, the spectral path, and verify's and ellipticity's checks on fixed
-samples.
+levels, the spectral path, verify's and ellipticity's checks on fixed
+samples, and the CSV writer's cell layout.
 
 The cached arrays are shared by every caller, so they must be read-only;
 a result must not depend on whether a cache was cold or warm, nor on which
@@ -29,13 +29,14 @@ def _clear_caches():
     cli._verify_samples.cache_clear()
     cli._fixed_sample_values.cache_clear()
     cli._chiral_obstruction.cache_clear()
+    cli._cell_layout.cache_clear()
 
 
 def test_cached_arrays_are_read_only():
     rule = quadrature._gauss_legendre_rule(24)
     path = determinant._spectral_path(ContourSpec(), 1)
     angles = quadrature._circle_angles(64)
-    for arr in rule + path + (angles,):
+    for arr in rule + path + (angles,) + cli._cell_layout():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     nodes, weights = np.polynomial.legendre.leggauss(24)
