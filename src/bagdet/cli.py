@@ -267,9 +267,9 @@ def _run_determinant(cfg: RunConfig) -> int:
 # Rows per string of a sweep's CSV text (see _csv_rows).
 SWEEP_BLOCK = 128
 
-# The doubles nearest 10**-4 ... 10**20: exact from 10**0 on, and above
+# The doubles nearest 10**-4 ... 10**21: exact from 10**0 on, and above
 # 10**k before, so |x| >= 10**k exactly when |x| >= _DECADES[k + 4].
-_DECADES = np.array([float(f"1e{k}") for k in range(-4, 21)])
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 22)])
 _U = np.uint64
 
 
@@ -291,28 +291,27 @@ def _digit_words(digits):
     m = x | (x >> _U(8))
     m |= m >> _U(16)
     m |= m >> _U(32)
-    m[:, 0] |= (x[:, 1] != 0) * _U(0x0101010101010101)
+    m[:, 0] |= (m[:, 1] & _U(0xFF)) * _U(0x0101010101010101)
     m = ((m + _U(0x7F7F7F7F7F7F7F7F)) & _U(0x8080808080808080)) >> _U(7)
     return np.column_stack([(lead + _U(48)) << _U(56), x | m * _U(0x30)])
 
 
 @functools.cache
 def _cell_layout() -> tuple:
-    """Read-only words (keep, text) per exponent e = -4 ... 14 (row e + 4):
+    """Read-only words (keep, text) per exponent e = -4 ... 14 (row e + 5):
     the bits of a 48-byte cell that take digits, and its fixed text.  Byte
     0 is the sign, bytes 1-5 "0." and e < 0's leading zeros; digit i of
     17 sits at byte 7 + i if i <= e, else at 31 + i; "." is at byte 24.
     Integer digits and the first decimal are written even if zero."""
-    keep, text = np.zeros((2, 19, 48), dtype=np.uint8)
-    i = np.arange(17)
+    keep, text = np.zeros((2, 20, 48), dtype=np.uint8)
     for e in range(-4, 15):
-        keep[e + 4, np.where(i <= e, 7 + i, 31 + i)] = 0xFF
+        keep[e + 5, [7 + i if i <= e else 31 + i for i in range(17)]] = 0xFF
         if e < 0:
-            text[e + 4, 1:2 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
+            text[e + 5, 1:2 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
         else:
-            text[e + 4, [*range(7, 8 + e), 32 + e]] = ord("0")
-            text[e + 4, 24] = ord(".")
-    return tuple(np.frombuffer(t.tobytes(), "<u8").reshape(19, 6)
+            text[e + 5, [*range(7, 8 + e), 32 + e]] = ord("0")
+            text[e + 5, 24] = ord(".")
+    return tuple(np.frombuffer(t.tobytes(), "<u8").reshape(20, 6)
                  for t in (keep, text))
 
 
@@ -364,15 +363,15 @@ def _float_cells(x):
     a = np.abs(x)
     m = np.frexp(a)[0]
     fast = np.flatnonzero((a >= 1e-4) & (a < 1e15) & (m != 0.5))
-    e = np.searchsorted(_DECADES, a[fast], side="right") - 5
-    digits, certain = _shortest_digits(a[fast], _DECADES[20 - e], m[fast])
+    e5 = np.searchsorted(_DECADES, a[fast], side="right")      # e + 5
+    digits, certain = _shortest_digits(a[fast], _DECADES[::-1][e5], m[fast])
     words = np.tile(_digit_words(digits), 2)
     keep, text = _cell_layout()
-    words &= keep[e + 4]
-    words |= text[e + 4]
-    words[:, 0] |= (x[fast] < 0) * _U(ord("-"))
+    words &= keep[e5]
+    words |= text[e5]
     cells = np.zeros((len(x), 48), dtype=np.uint8)
     cells.view("<u8")[fast] = words
+    cells[fast[x[fast] < 0], 0] = ord("-")
     slow = np.ones(len(x), dtype=bool)
     slow[fast[certain]] = False
     cells[slow] = _repr_cells(x[slow], 48)
@@ -391,9 +390,10 @@ def _csv_rows(columns) -> list:
     the same bits, from _float_cells if its first 32 cells hold over 16
     bit patterns, else (a float, a short or few-valued column) from one
     ``repr`` per bit pattern; each block joins them, NULs dropped.  A
-    960-row table of the benchmark's seed-601 sweep pool takes 1.4, 1.0
-    and 2.3 ms over ``w``, ``radius`` and ``phi0`` (1.9, 1.1 and 3.3 ms
-    with a ``repr`` per varying cell; median, best of 5 x 10 calls)."""
+    960-row table of the benchmark's seed-601 sweep pool takes 1.3-1.5,
+    0.9-1.1 and 2.0-2.4 ms over ``w``, ``radius`` and ``phi0``, against
+    1.7-2.1, 1.1-1.3 and 3.1-3.7 ms with a ``repr`` per varying cell
+    (medians, best of 5 x 10 calls, three interleaved runs)."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = max((len(c) for c in columns if c.ndim), default=1)
     cells, seen = [], {}
